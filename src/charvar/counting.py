@@ -28,10 +28,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Tuple
 
-from .arith import partitions
 from .plethystic import Log, Pow
 from .qpoly import (
-    QPoly, ONE, ZERO, expand_in_s, limit_at_1, poly_str, q, ratio,
+    QPoly, ONE, ZERO, _poly_str, expand_in_s, limit_at_1, poly_str, q, ratio,
 )
 from .tseries import TSeries
 
@@ -91,6 +90,14 @@ def abs_irr_series(m: int, order: int) -> TSeries:
         Log(_twisted_inverse(m, order)) * (1 - q), "absolutely irreducible counts")
 
 
+def _part_factor(part: int, k: int) -> QPoly:
+    # q^(part^2) * prod_{j<=k}(1 - q^-j) = q^(part^2 - k(k+1)/2) * prod (q^j - 1)
+    factor = q ** (part * part - k * (k + 1) // 2)
+    for j in range(1, k + 1):
+        factor = factor * (q ** j - 1)
+    return factor
+
+
 @lru_cache(maxsize=None)
 def centralizer_weight(lam: Tuple[int, ...]) -> QPoly:
     """The partition weight r_lambda = prod_n q^(lambda_n^2) (q^-1)_(lambda_n - lambda_n+1).
@@ -106,13 +113,7 @@ def centralizer_weight(lam: Tuple[int, ...]) -> QPoly:
     out = ONE
     for n, part in enumerate(lam):
         nxt = lam[n + 1] if n + 1 < len(lam) else 0
-        k = part - nxt
-        # q^(part^2) * prod_{j<=k}(1 - q^-j) = q^(part^2 - k(k+1)/2) * prod (q^j - 1)
-        shift = part * part - k * (k + 1) // 2
-        factor = q ** shift
-        for j in range(1, k + 1):
-            factor = factor * (q ** j - 1)
-        out = out * factor
+        out = out * _part_factor(part, part - nxt)
     return out
 
 
@@ -122,15 +123,41 @@ def class_weight_series(m: int, order: int) -> TSeries:
 
     The t^d-coefficient is the number of conjugacy-class-tuples weighted by
     centralizer orders; feeding it to Pow(. , q-1) counts all conjugation
-    orbits on m-tuples of invertible d x d matrices.
+    orbits on m-tuples of invertible d x d matrices.  This is the Hua-type
+    sum of J.-Y. Hua, Counting representations of quivers over finite
+    fields, J. Algebra 226 (2000).
+
+    r_lambda is a product of one factor f(a, a - b) per part a, where b is
+    the next part (0 after the last), so the sum runs as a transfer
+    recurrence over (largest part a, size s) instead of partition by
+    partition:
+
+        G(0, 0) = 1,
+        G(a, s) = sum_{b <= min(a, s - a)} f(a, a - b)^(m-1) G(b, s - a),
+
+    where G(a, s) sums r_lambda^(m-1) over the partitions of s with largest
+    part a, and the t^s-coefficient is sum_a G(a, s).  That takes about
+    order^3/12 polynomial products where the partition sum took a product
+    and a power per partition.
     """
     _check_m(m)
-    coeffs = []
-    for d in range(order + 1):
-        acc = ZERO
-        for lam in partitions(d):
-            acc = acc + centralizer_weight(lam) ** (m - 1)
-        coeffs.append(acc)
+    # table[a][s] = G(a, s), kept only for s <= order - a: a later part
+    # a' >= a reads G(a, s) at s = s' - a' <= order - a.  G(0, s) = 0, s > 0.
+    table = [[ONE] + [ZERO] * order]
+    coeffs = [ONE] + [ZERO] * order
+    for a in range(1, order + 1):
+        weights = [_part_factor(a, a - b) ** (m - 1)
+                   for b in range(min(a, order - a) + 1)]
+        row = [ZERO] * (order - a + 1)
+        table.append(row)
+        for s in range(a, order + 1):
+            rest = s - a
+            acc = ZERO
+            for b in range(1 if rest else 0, min(a, rest) + 1):
+                acc = acc + weights[b] * table[b][rest]
+            if s <= order - a:
+                row[s] = acc
+            coeffs[s] = coeffs[s] + acc
     return TSeries(order, coeffs)
 
 
@@ -200,26 +227,7 @@ def uv_str(p: QPoly) -> str:
     >>> uv_str(q ** 2 - 2 * q + 1)
     'u^2*v^2 - 2*u*v + 1'
     """
-    if p.is_zero:
-        return "0"
-    parts = []
-    for k in range(p.degree, -1, -1):
-        c = p.coeffs[k]
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else "+"
-        mag = -c if c < 0 else c
-        if k == 0:
-            body = str(mag)
-        else:
-            head = "" if mag == 1 else f"{mag}*"
-            uv = "u*v" if k == 1 else f"u^{k}*v^{k}"
-            body = f"{head}{uv}"
-        parts.append((sign, body))
-    text = ("-" if parts[0][0] == "-" else "") + parts[0][1]
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
+    return _poly_str(p, lambda k: "u*v" if k == 1 else f"u^{k}*v^{k}")
 
 
 def euler_characteristics(m: int, d: int, dmax: int = None):

@@ -8,12 +8,32 @@ whose singularity there is removable.
 Coefficients are stored as plain ints whenever the value is an integer and
 as fractions.Fraction otherwise.  Everything here is exact; no floating
 point is used anywhere in the package.
+
+The counting pipeline spends nearly all of its time multiplying and adding
+integer polynomials, so the int case is the fast path:
+
+- normalising a coefficient tests ``type(c) is int`` before any Fraction
+  work (an isinstance check against Fraction goes through the abc
+  machinery and costs several times more), so sums and scalar multiples
+  of int polynomials pay one type test per coefficient;
+- negation, q -> q^n and the product of two int polynomials give a
+  canonical result by construction, so a trusted constructor builds it
+  and only strips trailing zeros; every other result involving a Fraction
+  is normalised as before, so an integral Fraction still comes out as an
+  int;
+- a product of two int polynomials whose shorter factor has at least
+  _KRONECKER_MIN_TERMS terms uses Kronecker substitution: each factor is
+  packed into one big integer with slots wide enough for every product
+  coefficient, the two integers are multiplied once (CPython switches to
+  Karatsuba for large operands), and the product is read back slot by
+  slot.  Shorter int factors and every factor with a Fraction coefficient
+  use the schoolbook product.  Both give the same coefficients exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 Scalar = Union[int, Fraction]
 
@@ -28,9 +48,73 @@ class PoleError(ArithmeticError):
 
 def _norm(c: Scalar) -> Scalar:
     # collapse integral Fractions to int; keeps hashing and repr canonical
+    if type(c) is int:
+        return c
     if isinstance(c, Fraction) and c.denominator == 1:
         return int(c)
     return c
+
+
+def _all_int(cs) -> bool:
+    # exact type: bool and other int subclasses take the normalising path
+    return all(type(c) is int for c in cs)
+
+
+def _trusted(cs: list) -> "QPoly":
+    """QPoly from coefficients already in canonical form; strips zeros only."""
+    while cs and cs[-1] == 0:
+        cs.pop()
+    p = object.__new__(QPoly)
+    object.__setattr__(p, "coeffs", tuple(cs))
+    return p
+
+
+# Shortest factor, in terms, for which an int product packs both factors
+# into big integers (Kronecker substitution) instead of the schoolbook loop.
+# Measured on CPython 3.11, 2-vCPU x86-64: on dense random factors the big
+# multiply wins from about 12 terms; the schoolbook loop skips zero terms,
+# which favours it on sparse factors such as q^j - 1; the polys and verify
+# commands ran equally fast, within noise, for thresholds from 8 to 24.
+_KRONECKER_MIN_TERMS = 16
+
+
+def _schoolbook_mul(a, b) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca == 0:
+            continue
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return out
+
+
+def _kron_mul(a, b) -> list:
+    """Product coefficients of two nonempty int coefficient sequences.
+
+    Each product coefficient is bounded by max|a| * max|b| * min(len), so
+    a slot of k bits with 2^(k-1) above that bound holds it with its sign.
+    Packing a factor as sum a_i 2^(k i) turns the polynomial product into
+    one integer product; adding 2^(k-1) to every slot of a packed factor
+    or of the product makes all its slots nonnegative, so they are written
+    and read as plain bytes, without carries.
+    """
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    width = bound.bit_length() // 8 + 1          # bytes: 8 * width >= bits + 1
+    half = 1 << (8 * width - 1)
+    slot = half.to_bytes(width, "little")
+    n = len(a) + len(b) - 1
+    product = _kron_pack(a, width, half, slot) * _kron_pack(b, width, half, slot)
+    raw = (product + int.from_bytes(slot * n, "little")).to_bytes(
+        width * n, "little")
+    return [int.from_bytes(raw[i:i + width], "little") - half
+            for i in range(0, width * n, width)]
+
+
+def _kron_pack(cs, width: int, half: int, slot: bytes) -> int:
+    # sum c_i 2^(8 width i), written with every slot shifted up by half
+    shifted = b"".join((c + half).to_bytes(width, "little") for c in cs)
+    return (int.from_bytes(shifted, "little")
+            - int.from_bytes(slot * len(cs), "little"))
 
 
 class QPoly:
@@ -51,7 +135,8 @@ class QPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [_norm(Fraction(c) if not isinstance(c, (int, Fraction)) else c)
+        cs = [c if type(c) is int else
+              _norm(c if isinstance(c, (int, Fraction)) else Fraction(c))
               for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
@@ -112,13 +197,13 @@ class QPoly:
     # -- ring operations ---------------------------------------------------
 
     def __neg__(self) -> "QPoly":
-        return QPoly(tuple(-c for c in self.coeffs))
+        return _trusted([-c for c in self.coeffs])
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QPoly((other,))
         if not isinstance(other, QPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = QPoly((other,))
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -130,30 +215,31 @@ class QPoly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, QPoly)):
-            return self + (-other if isinstance(other, QPoly) else QPoly((-other,)))
+        if isinstance(other, QPoly):
+            return self + (-other)
+        if isinstance(other, (int, Fraction)):
+            return self + QPoly((-other,))
         return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        a = self.coeffs
+        if not isinstance(other, QPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             if other == 0:
                 return ZERO
-            return QPoly(tuple(c * other for c in self.coeffs))
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
+            return QPoly([c * other for c in a])
+        b = other.coeffs
         if not a or not b:
             return ZERO
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return QPoly(out)
+        if _all_int(a) and _all_int(b):
+            if min(len(a), len(b)) >= _KRONECKER_MIN_TERMS:
+                return _trusted(_kron_mul(a, b))
+            return _trusted(_schoolbook_mul(a, b))
+        return QPoly(_schoolbook_mul(a, b))
 
     __rmul__ = __mul__
 
@@ -230,9 +316,8 @@ class QPoly:
         if n == 1 or self.is_zero:
             return self
         out = [0] * (self.degree * n + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * n] = c
-        return QPoly(out)
+        out[::n] = self.coeffs
+        return _trusted(out)
 
     # -- display -------------------------------------------------------------
 
@@ -250,6 +335,11 @@ q = QPoly((0, 1))
 
 def poly_str(p: QPoly, var: str = "q") -> str:
     """Human-readable form, highest degree first: 'q^3 - 2*q + 1'."""
+    return _poly_str(p, lambda k: var if k == 1 else f"{var}^{k}")
+
+
+def _poly_str(p: QPoly, monomial: Callable[[int], str]) -> str:
+    # monomial(k) renders the k-th power of the variable, k >= 1
     if p.is_zero:
         return "0"
     parts = []
@@ -263,7 +353,7 @@ def poly_str(p: QPoly, var: str = "q") -> str:
             body = str(mag)
         else:
             head = "" if mag == 1 else f"{mag}*"
-            body = f"{head}{var}" if k == 1 else f"{head}{var}^{k}"
+            body = f"{head}{monomial(k)}"
         parts.append((sign, body))
     first_sign, first_body = parts[0]
     text = ("-" if first_sign == "-" else "") + first_body

@@ -50,6 +50,52 @@ def test_polys_text_and_csv(capsys):
     assert lines[2].endswith("true")
 
 
+POLYS_M2_D3_TEXT = """\
+counting polynomials for m = 2, d <= 3
+
+d = 1
+  A     = q^2 - 2*q + 1
+  A_irr = q^2 - 2*q + 1
+  A_ind = q^2 - 2*q + 1
+  M     = q^2 - 2*q + 1
+  E(PGL)        = 1
+  chi(PGL)      = 1
+  chi(PGL irr)  = 1
+  A in powers of (q-1): [0, 0, 1]  positive = True
+
+d = 2
+  A     = q^5 - 2*q^4 + q^3
+  A_irr = q^5 - 3*q^4 + 3*q^3 - 2*q^2 + 2*q - 1
+  A_ind = q^5 - 2*q^4 + 2*q^2 - q
+  M     = q^5 - q^4 - 2*q^3 + 4*q^2 - 3*q + 1
+  E(PGL)        = u^3*v^3
+  chi(PGL)      = 1
+  chi(PGL irr)  = -1
+  A in powers of (q-1): [0, 0, 1, 3, 3, 1]  positive = True
+
+d = 3
+  A     = q^10 - 2*q^9 - 2*q^8 + 9*q^7 - 10*q^6 + 6*q^5 - 3*q^4 + 2*q^3 \
+- 2*q^2 + q
+  A_irr = q^10 - 2*q^9 - 2*q^8 + 8*q^7 - 6*q^6 - 2*q^5 + 6*q^4 - 5*q^3 \
++ 3*q^2 - q
+  A_ind = q^10 - 2*q^9 + q^7 + q^6 - q^4 - 2*q^3 + 3*q^2 - q
+  M     = q^10 - 2*q^9 + 2*q^7 - 2*q^6 + 3*q^5 + q^4 - 9*q^3 + 9*q^2 \
+- 4*q + 1
+  E(PGL)        = u^8*v^8 - 3*u^6*v^6 + 3*u^5*v^5 - u^4*v^4 + u^3*v^3 + u*v
+  chi(PGL)      = 2
+  chi(PGL irr)  = -1
+  A in powers of (q-1): [0, 0, 2, 5, 10, 23, 39, 41, 25, 8, 1]  \
+positive = True
+"""
+
+
+def test_polys_text_bytes_pinned(capsys):
+    # every line of the text table, the u,v rendering of E(PGL) included
+    code, out, err = run(capsys, "polys", "--m", "2", "--dmax", "3")
+    assert code == 0 and err == ""
+    assert out == POLYS_M2_D3_TEXT
+
+
 def test_polys_m_one_has_null_chi(capsys):
     code, out, _ = run(capsys, "polys", "--m", "1", "--dmax", "2",
                        "--format", "json")

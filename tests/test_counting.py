@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from charvar.arith import mobius, totient
+from charvar.arith import mobius, partitions, totient
 from charvar.plethystic import Exp
 from charvar.qpoly import QPoly, ONE, adams_q, expand_in_s, q
 from charvar.counting import (
@@ -107,6 +107,33 @@ def test_class_weight_series_values():
     f = class_weight_series(2, 2)
     assert f.coeff(2) == q ** 3 * (q - 1)
     assert f.coeff(0) == ONE
+
+
+def test_class_weight_dp_matches_partition_sum():
+    order = 10
+    for m in (1, 2, 3, 4):
+        f = class_weight_series(m, order)
+        for d in range(order + 1):
+            expected = sum((centralizer_weight(lam) ** (m - 1)
+                            for lam in partitions(d)), QPoly(()))
+            assert f.coeff(d) == expected, (m, d)
+    # one generator: every partition has weight 1
+    assert class_weight_series(1, order).coeffs == tuple(
+        QPoly([len(partitions(d))]) for d in range(order + 1))
+
+
+def test_integrality_certification_sees_fractions():
+    # non-integral Fractions built through the int fast paths still fail
+    t = 20
+    half_sum = (q ** t + 1) * Fraction(1, 2) + (q ** t - 1) * Fraction(1, 2)
+    assert half_sum == q ** t
+    bad = q ** t * (q ** t + 1) + QPoly([Fraction(1, 3)] * t)
+    for series in (TSeries(2, [ONE, q ** t - 1, bad]),
+                   TSeries(1, [ONE, (q ** t + 1) * Fraction(1, 2)])):
+        with pytest.raises(IntegralityError):
+            _certified_integral(series, "test")
+    good = TSeries(1, [ONE, half_sum])
+    assert _certified_integral(good, "test") is good
 
 
 def test_exp_relations():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from charvar import qpoly
 from charvar.qpoly import (
     ExactDivisionError, PoleError, QPoly, QRatFun, ONE, ZERO,
     adams_q, expand_in_s, from_s_coeffs, limit_at_1, poly_gcd, poly_str,
@@ -170,3 +171,105 @@ def test_adams_on_ratfun():
     g = adams_q(f, 2)
     assert g == ratio(q ** 2 + 1, q ** 4 + q ** 2 - 1)
     assert g.den.leading == 1
+
+
+def reference_product(a, b):
+    # the coefficient convolution written out, independent of QPoly
+    return [sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
+            for k in range(len(a) + len(b) - 1)]
+
+
+def rand_int_coeffs(rng, n, bits):
+    cs = [rng.randint(-(1 << bits), 1 << bits) for _ in range(n)]
+    if n > 6 and rng.random() < 0.5:            # a run of interior zeros
+        start = rng.randrange(1, n - 3)
+        stop = rng.randrange(start + 2, n)
+        cs[start:stop] = [0] * (stop - start)
+    cs[-1] = cs[-1] or 1
+    return cs
+
+
+def test_kronecker_matches_schoolbook():
+    rng = random.Random(2024)
+    t = qpoly._KRONECKER_MIN_TERMS
+    lengths = [1, 2, t - 1, t, t + 1, 3 * t, 97]
+    for bits in (1, 7, 31, 64, 101, 130):
+        for _ in range(12):
+            a = rand_int_coeffs(rng, rng.choice(lengths), bits)
+            b = rand_int_coeffs(rng, rng.choice(lengths), bits)
+            expected = reference_product(a, b)
+            assert qpoly._kron_mul(a, b) == expected
+            assert qpoly._schoolbook_mul(a, b) == expected
+            assert (QPoly(a) * QPoly(b)).coeffs == tuple(expected)
+
+
+def test_kronecker_extreme_slots():
+    # all-negative and all-maximal factors put every product slot at the
+    # edge of the signed range
+    for n in (16, 17, 40):
+        big = (1 << 100) + 3
+        a, b = [-big] * n, [big] * (n + 5)
+        assert qpoly._kron_mul(a, b) == reference_product(a, b)
+        assert qpoly._kron_mul(a, a) == reference_product(a, a)
+    assert qpoly._kron_mul([1], [-1]) == [-1]
+    assert qpoly._kron_mul([0, 0, 5], [0, -3]) == [0, 0, 0, -15]
+
+
+def test_product_path_selection(monkeypatch):
+    calls = []
+    kron = qpoly._kron_mul
+
+    def spy(a, b):
+        calls.append((len(a), len(b)))
+        return kron(a, b)
+
+    monkeypatch.setattr(qpoly, "_kron_mul", spy)
+    t = qpoly._KRONECKER_MIN_TERMS
+    long_ = QPoly(range(1, t + 3))
+    QPoly(range(1, t)) * long_                 # shorter factor below the threshold
+    assert calls == []
+    QPoly(range(1, t + 1)) * long_
+    assert calls == [(t, t + 2)]
+    # one Fraction coefficient sends the product to the schoolbook loop,
+    # which normalises integral results back to int
+    half = QPoly([Fraction(1, 2)] + list(range(1, t + 3)))
+    two = QPoly([2] * (t + 3))
+    product = half * two
+    assert len(calls) == 1
+    assert list(product.coeffs) == reference_product(half.coeffs, two.coeffs)
+    assert all(type(c) is int for c in product.coeffs)
+
+
+def test_canonical_form_survives_fast_paths():
+    stored = QPoly([Fraction(4, 2)]).coeffs
+    assert stored == (2,) and type(stored[0]) is int
+    assert hash(QPoly((3,))) == hash(3)
+    rng = random.Random(8)
+    t = qpoly._KRONECKER_MIN_TERMS
+    for _ in range(40):
+        a = QPoly(rand_int_coeffs(rng, rng.randint(1, 2 * t), 40))
+        b = QPoly(rand_int_coeffs(rng, rng.randint(1, 2 * t), 40))
+        for value in (a * b, a + b, a - b, a - a, -a, a * 3, a.adams(3),
+                      a + QPoly([1] + [-c for c in a.coeffs[1:]])):
+            assert not value.coeffs or value.coeffs[-1] != 0
+    # sums and scalar products of Fractions that come out integral are ints
+    halves = QPoly([Fraction(1, 2)] * (t + 1))
+    for value in (halves + halves, halves * 2, halves * QPoly([2] * t)):
+        assert value.coeffs and all(type(c) is int for c in value.coeffs)
+    assert (q ** 20 + 1) + (-(q ** 20)) == ONE
+    assert (q ** 20 + Fraction(1, 2)) - (q ** 20 + Fraction(1, 2)) == ZERO
+
+
+def test_bool_coefficients_keep_value_semantics():
+    p = QPoly([True, False, True])
+    assert p == QPoly([1, 0, 1]) and hash(p) == hash(QPoly([1, 0, 1]))
+    assert p * p == QPoly([1, 0, 2, 0, 1])
+    assert p + p == QPoly([2, 0, 2])
+    assert QPoly([True, False]).coeffs == (True,)
+
+
+def test_poly_str_variable_name():
+    p = q ** 2 - 2 * q + 1
+    assert poly_str(p, "x") == "x^2 - 2*x + 1"
+    assert poly_str(-q, var="t") == "-t"
+    assert poly_str(ZERO, "x") == "0"

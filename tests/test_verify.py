@@ -17,7 +17,12 @@ def test_suite_passes_for_two_generators():
 
 
 def test_suite_passes_for_three_generators():
-    assert all_passed(run_verification(3, dmax=2, primes=(2,)))
+    checks = run_verification(3, dmax=2, primes=(2, 101))
+    assert all_passed(checks)
+    # |GL_1(F_101)|^3 = 10^6 tuples: the size guard refuses d = 1 already,
+    # so that oracle compared nothing and must say so
+    (item,) = [c for c in checks if c.name == "finite field oracle p=101"]
+    assert item.detail.startswith("skipped: size guard")
 
 
 def test_single_generator_skips_quotient_items():
