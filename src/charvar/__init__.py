@@ -11,10 +11,10 @@ brute-force enumeration over small finite fields and symmetric groups.
 
 from .arith import divisors, factorize, is_prime, mobius, partitions, totient
 from .combinatorics import (
-    CensusRow, SizeGuardError, census_series_checks, connected_tuples,
-    connected_weight_poly, connected_weight_series, hall_subgroup_counts,
-    inversions, length_gen_poly, limit_transform, perm_rep_census,
-    q_factorial, q_int, subgroup_counts,
+    CensusRow, IdentityError, SizeGuardError, census_series_checks,
+    connected_tuples, connected_weight_poly, connected_weight_series,
+    hall_subgroup_counts, inversions, length_gen_poly, limit_transform,
+    perm_rep_census, q_factorial, q_int, subgroup_counts,
 )
 from .counting import (
     CharVarTable, IntegralityError, PositivityReport, TableRow,
@@ -40,8 +40,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CensusRow", "CharVarTable", "CheckResult", "ConjClass",
-    "ExactDivisionError", "Exp", "IntegralityError", "Log", "OracleCensus",
-    "PoleError", "PositivityReport", "Pow", "QPoly", "QRatFun",
+    "ExactDivisionError", "Exp", "IdentityError", "IntegralityError", "Log",
+    "OracleCensus", "PoleError", "PositivityReport", "Pow", "QPoly", "QRatFun",
     "SizeGuardError", "TSeries", "TableRow", "abs_ind_counts",
     "abs_ind_series", "abs_irr_counts", "abs_irr_series", "all_passed",
     "build_table", "burnside_orbit_count", "census_series_checks",

@@ -5,9 +5,10 @@ the internal consistency suite, `subgroups` prints free-group subgroup
 counts, `permstats` lists connected permutation tuples with their
 inversion weights, and `oracle` runs the finite-field brute force.
 
-Exit codes: 0 success, 2 usage error, 3 verification or integrality
-failure, 4 size guard.  Output is deterministic for a fixed command line,
-and JSON output re-serializes to the same bytes after parsing.
+Exit codes: 0 success, 2 usage error, 3 verification, integrality or
+brute-force identity failure, 4 size guard.  Output is deterministic for
+a fixed command line, and JSON output re-serializes to the same bytes
+after parsing.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ import io
 import json
 import sys
 
-from .combinatorics import (SizeGuardError, connected_tuples,
-                            connected_weight_poly, inversions,
-                            subgroup_counts)
+from .combinatorics import (IdentityError, SizeGuardError,
+                            connected_tuples, connected_weight_poly,
+                            inversions, subgroup_counts)
 from .counting import (IntegralityError, build_table, default_dmax,
                        e_polynomial, uv_str)
 from .fforacle import orbit_census
@@ -241,7 +242,7 @@ def main(argv=None) -> int:
     except SizeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIZE
-    except (IntegralityError, AssertionError) as exc:
+    except (IntegralityError, IdentityError, AssertionError) as exc:
         print(f"error: internal identity failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     except ValueError as exc:

@@ -38,6 +38,10 @@ class SizeGuardError(RuntimeError):
     """A brute-force enumeration would exceed its size budget."""
 
 
+class IdentityError(ArithmeticError):
+    """A brute-force computation contradicted an identity it must satisfy."""
+
+
 # -- inversion statistics ------------------------------------------------------
 
 

@@ -1,14 +1,21 @@
 """Finite-field brute force, and its agreement with the series pipeline."""
 
+import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from charvar.combinatorics import SizeGuardError
+import charvar
+from charvar import fforacle
+from charvar.combinatorics import IdentityError, SizeGuardError
 from charvar.counting import abs_ind_counts, abs_irr_counts, orbit_counts
 from charvar.fforacle import (
-    OracleCensus, algebra_span_dim, burnside_orbit_count, conjugacy_classes,
-    endomorphism_basis, gl_enumerate, gl_order, identity,
+    OracleCensus, _conjugation_table, algebra_span_dim, burnside_orbit_count,
+    conjugacy_classes, endomorphism_basis, gl_enumerate, gl_order, identity,
     is_absolutely_indecomposable, is_absolutely_irreducible, mat_det, mat_inv,
     mat_mul, orbit_census,
 )
@@ -132,3 +139,86 @@ def test_size_guards_and_validation():
         gl_order(0, 3)
     with pytest.raises(ValueError):
         orbit_census(2, 2, 0)
+
+
+def _full_sweep_census(d, p, m):
+    """Reference census: every m-tuple, every conjugation by a product.
+
+    Conjugates by explicit matrix products, sweeps all of G^m with one
+    visited set, and classifies each orbit representative with the public
+    classifiers.
+    """
+    group = gl_enumerate(d, p)
+    index = {g: i for i, g in enumerate(group)}
+    conj = []
+    for g in group:
+        ginv = mat_inv(g, d, p)
+        conj.append(tuple(index[mat_mul(mat_mul(g, x, d, p), ginv, d, p)]
+                          for x in group))
+    orbits = abs_irr = abs_ind = 0
+    visited = set()
+    for tup in itertools.product(range(len(group)), repeat=m):
+        if tup in visited:
+            continue
+        visited.update(tuple(row[i] for i in tup) for row in conj)
+        mats = tuple(group[i] for i in tup)
+        orbits += 1
+        abs_irr += is_absolutely_irreducible(mats, d, p)
+        abs_ind += is_absolutely_indecomposable(mats, d, p)
+    return OracleCensus(d=d, p=p, m=m, group_order=len(group), orbits=orbits,
+                        abs_irr=abs_irr, abs_ind=abs_ind)
+
+
+def test_census_matches_full_sweep():
+    grid = [(1, 5, 3), (1, 7, 3), (2, 2, 1), (2, 2, 2), (2, 2, 3), (2, 2, 4),
+            (2, 3, 1), (2, 3, 2)]
+    for d, p, m in grid:
+        assert orbit_census(d, p, m) == _full_sweep_census(d, p, m), (d, p, m)
+
+
+def test_conjugation_table_matches_direct_products():
+    rng = random.Random(20261018)
+    for d, p, rows in [(2, 3, None), (3, 2, 20)]:
+        group = gl_enumerate(d, p)
+        conj = _conjugation_table(group, d, p)
+        indices = range(len(group)) if rows is None else rng.sample(
+            range(len(group)), rows)
+        for gi in indices:
+            g, ginv = group[gi], mat_inv(group[gi], d, p)
+            assert [group[i] for i in conj[gi]] == [
+                mat_mul(mat_mul(g, x, d, p), ginv, d, p) for x in group]
+
+
+def test_conjugation_table_needs_a_generating_set(monkeypatch):
+    transvections = fforacle._generators(2, 3)[:-1]     # generate SL_2(F_3)
+    monkeypatch.setattr(fforacle, "_generators", lambda d, p: transvections)
+    with pytest.raises(IdentityError, match="reached 24 of 48"):
+        orbit_census(2, 3, 1)
+
+
+def test_census_refuses_before_enumerating(monkeypatch):
+    def no_det(*args):
+        raise AssertionError("mat_det called before the size guard")
+
+    monkeypatch.setattr(fforacle, "mat_det", no_det)
+    for d, p, m in [(4, 2, 2), (3, 3, 2), (2, 3, 4)]:
+        with pytest.raises(SizeGuardError, match="tuples is too much"):
+            orbit_census(d, p, m)
+    with pytest.raises(SizeGuardError, match="exceeds the class limit"):
+        conjugacy_classes(2, 7)
+
+
+def test_identity_failure_survives_optimize():
+    # every absolutely irreducible orbit now reads as decomposable
+    script = ("import sys; from charvar import fforacle; "
+              "fforacle._local_split = lambda *args: False; "
+              "from charvar.cli import main; "
+              "sys.exit(main(['oracle', '--d', '2', '--p', '2', '--m', '2']))")
+    src = str(Path(charvar.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-O", "-c", script],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 3, done.stderr
+    assert "internal identity failure" in done.stderr
+    assert done.stdout == ""
