@@ -242,7 +242,7 @@ def main(argv=None) -> int:
     except SizeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIZE
-    except (IntegralityError, IdentityError, AssertionError) as exc:
+    except (IntegralityError, IdentityError) as exc:
         print(f"error: internal identity failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     except ValueError as exc:

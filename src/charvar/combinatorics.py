@@ -158,7 +158,7 @@ def subgroup_counts(m: int, nmax: int) -> List[int]:
     """[J_1..J_nmax]: numbers of index-n subgroups of the free group F_m.
 
     J_n = n * [x^n] log(sum_{n>=0} (n!)^(m-1) x^n); exactness of the
-    integer division is asserted.
+    integer division is checked.
     """
     if m < 1:
         raise ValueError("m >= 1 required")
@@ -276,7 +276,8 @@ def perm_rep_census(n: int, m: int) -> CensusRow:
         if _is_transitive(tup, n):
             transitive_count += 1
             aut_weight += Fraction(1, nfact // len(orbit))
-    assert aut_weight_all == Fraction(total, nfact)
+    if aut_weight_all != Fraction(total, nfact):
+        raise IdentityError("identity violated")
     return CensusRow(n=n, m=m, total=total, orbit_count=orbit_count,
                      transitive_count=transitive_count, aut_weight=aut_weight,
                      aut_weight_all=aut_weight_all)

@@ -19,18 +19,23 @@ assumed.  Specializing q = uv gives E-polynomials of the corresponding
 complex character varieties; exact limits at q = 1 of the PGL_d
 E-polynomials give their Euler characteristics.  The semisimple counts are
 certified nonnegative in the basis of powers of s = q-1.
+
+The t^d-coefficient of each series does not depend on the truncation
+order, so each is built once per m: a call with a smaller order returns a
+truncation of the longest series built so far, and a larger order builds
+the series again at that order and keeps it in place of the old one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Optional, Tuple
 
 from .plethystic import Log, Pow
 from .qpoly import (
-    QPoly, ONE, ZERO, _poly_str, expand_in_s, limit_at_1, poly_str, q, ratio,
+    QPoly, ONE, ZERO, _poly_str, _trusted, expand_in_s, poly_str, q,
 )
 from .tseries import TSeries
 
@@ -49,7 +54,20 @@ def _check_m(m: int) -> None:
         raise ValueError("the free group needs at least one generator (m >= 1)")
 
 
-@lru_cache(maxsize=None)
+def _one_series_per_m(build):
+    """Cache build(m, order) once per m; smaller orders are truncations."""
+    longest = {}
+
+    @wraps(build)
+    def series(m: int, order: int) -> TSeries:
+        have = longest.get(m)
+        if have is None or have.order < order:
+            have = longest[m] = build(m, order)
+        return have.truncate(order)
+    return series
+
+
+@_one_series_per_m
 def qpochhammer_series(m: int, order: int) -> TSeries:
     """Series with t^d-coefficient (prod_{i=1..d}(q^i - 1))^(m-1)."""
     _check_m(m)
@@ -61,7 +79,7 @@ def qpochhammer_series(m: int, order: int) -> TSeries:
     return TSeries(order, coeffs)
 
 
-@lru_cache(maxsize=None)
+@_one_series_per_m
 def _twisted_inverse(m: int, order: int) -> TSeries:
     # invert, then scale t^d by q^((m-1) binom(d,2)); the t^d-coefficient
     # becomes a polynomial of degree (m-1) d^2 related to |GL_d|^(m-1)
@@ -76,14 +94,14 @@ def _certified_integral(f: TSeries, what: str) -> TSeries:
     return f
 
 
-@lru_cache(maxsize=None)
+@_one_series_per_m
 def rep_series(m: int, order: int) -> TSeries:
     """Sum over d of A_d(q) t^d: semisimple representation counts."""
     return _certified_integral(
         Pow(_twisted_inverse(m, order), 1 - q), "semisimple counts")
 
 
-@lru_cache(maxsize=None)
+@_one_series_per_m
 def abs_irr_series(m: int, order: int) -> TSeries:
     """Sum over d >= 1 of the absolutely irreducible counts times t^d."""
     return _certified_integral(
@@ -117,7 +135,7 @@ def centralizer_weight(lam: Tuple[int, ...]) -> QPoly:
     return out
 
 
-@lru_cache(maxsize=None)
+@_one_series_per_m
 def class_weight_series(m: int, order: int) -> TSeries:
     """Sum over partitions of r_lambda^(m-1) t^(size of lambda).
 
@@ -138,16 +156,25 @@ def class_weight_series(m: int, order: int) -> TSeries:
     where G(a, s) sums r_lambda^(m-1) over the partitions of s with largest
     part a, and the t^s-coefficient is sum_a G(a, s).  That takes about
     order^3/12 polynomial products where the partition sum took a product
-    and a power per partition.
+    and a power per partition.  No weight is a product of its own:
+
+        f(a, k)^(m-1) = q^((m-1)(a^2 - k(k+1)/2)) P_k^(m-1),
+
+    with P_k = prod_{j<=k}(q^j - 1), and P_k^(m-1) is the t^k-coefficient
+    of qpochhammer_series, so each weight is a shifted coefficient list.
     """
     _check_m(m)
+    poch = qpochhammer_series(m, order).coeffs
     # table[a][s] = G(a, s), kept only for s <= order - a: a later part
     # a' >= a reads G(a, s) at s = s' - a' <= order - a.  G(0, s) = 0, s > 0.
     table = [[ONE] + [ZERO] * order]
     coeffs = [ONE] + [ZERO] * order
     for a in range(1, order + 1):
-        weights = [_part_factor(a, a - b) ** (m - 1)
-                   for b in range(min(a, order - a) + 1)]
+        weights = []
+        for b in range(min(a, order - a) + 1):
+            k = a - b
+            shift = (m - 1) * (a * a - k * (k + 1) // 2)
+            weights.append(_trusted([0] * shift + list(poch[k].coeffs)))
         row = [ZERO] * (order - a + 1)
         table.append(row)
         for s in range(a, order + 1):
@@ -161,14 +188,14 @@ def class_weight_series(m: int, order: int) -> TSeries:
     return TSeries(order, coeffs)
 
 
-@lru_cache(maxsize=None)
+@_one_series_per_m
 def orbit_series(m: int, order: int) -> TSeries:
     """Sum over d of M_d(q) t^d: all conjugation orbits on m-tuples."""
     return _certified_integral(
         Pow(class_weight_series(m, order), q - 1), "orbit counts")
 
 
-@lru_cache(maxsize=None)
+@_one_series_per_m
 def abs_ind_series(m: int, order: int) -> TSeries:
     """Sum over d >= 1 of the absolutely indecomposable counts times t^d."""
     return _certified_integral(
@@ -233,16 +260,14 @@ def uv_str(p: QPoly) -> str:
 def euler_characteristics(m: int, d: int, dmax: int = None):
     """(chi, chi_irr) of the PGL_d character varieties, m >= 2.
 
-    Computed as exact q -> 1 limits of A_d/(q-1)^m and the absolutely
-    irreducible analogue, i.e. as E-polynomial values at u = v = 1.
+    The q -> 1 limits of A_d/(q-1)^m and of the absolutely irreducible
+    analogue; (q-1)^m divides both exactly, so each limit is the value at
+    u = v = 1 of the PGL E-polynomial.
     """
     if m < 2:
         raise ValueError("Euler characteristics need m >= 2")
-    order = dmax if dmax is not None else d
-    denom = (q - 1) ** m
-    chi = limit_at_1(ratio(rep_series(m, order).coeff(d), denom))
-    chi_irr = limit_at_1(ratio(abs_irr_series(m, order).coeff(d), denom))
-    return chi, chi_irr
+    return tuple(e_polynomial(m, d, "PGL", variant, dmax).evaluate(1)
+                 for variant in ("full", "irr"))
 
 
 # -- positivity certification -------------------------------------------------

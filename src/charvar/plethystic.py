@@ -13,6 +13,26 @@ The operators here act on TSeries over exact q-coefficients:
 Exp and Log are mutually inverse bijections between series with zero
 constant term and series with constant term 1, and Exp(f+g) = Exp(f)Exp(g).
 
+Every operator runs on numerators, n times the t^n-coefficient, so that
+no recurrence divides.  For f with constant term 1, g with zero constant
+term, mu the Moebius function and psi_d the Adams operation on a
+coefficient:
+
+    H_n = n f_n - sum_{k<n} H_k f_{n-k}        H = t f'/f, n [t^n] log f
+    L_n = sum_{d|n} mu(d) psi_d(H_{n/d})       n [t^n] Log f
+    P_n = sum_{d|n} psi_d((n/d) g_{n/d})       n [t^n] Psi g
+    n e_n = sum_{k=1..n} P_k e_{n-k}           e = exp of sum P_n t^n / n
+
+Exp feeds the P_n of g to the last recurrence, Pow(f, c) the numbers
+sum_{d|n} psi_d(c L_{n/d}), pow_scalar(f, c) the numbers c H_n; Log and
+psi_inv divide the Moebius-weighted sums by n, series_log and psi the
+unweighted ones.  Each coefficient is divided by n once, at the end.  The
+recurrences only add and multiply, so integer inputs give integer
+numerators; the counting pipeline feeds in integer polynomials and every
+Log and Pow it takes is integral, so n divides each numerator and the
+whole computation stays in int.  Only a coefficient that is not integral
+becomes Fraction-valued.
+
 Pow(f, 1-q) also has a product expansion over Adams images,
 
     Pow(f, 1-q) = prod_{d>=1} psi_d(f)^(-Phi_d(q)),
@@ -28,7 +48,7 @@ from fractions import Fraction
 from typing import Union
 
 from .arith import divisors, mobius
-from .qpoly import QPoly, QRatFun, ZERO, ONE, q
+from .qpoly import QPoly, QRatFun, ZERO, ONE, _trusted, q
 from .tseries import TSeries
 
 ScalarLike = Union[int, Fraction, QPoly, QRatFun]
@@ -48,85 +68,128 @@ def _require_unit_constant(f: TSeries, who: str) -> None:
         raise ValueError(f"{who} needs a series with constant term 1")
 
 
+def _div(c, n: int):
+    """c / n exactly; an int polynomial that n divides keeps int coefficients."""
+    if n == 1:
+        return c
+    if isinstance(c, QPoly) and all(type(x) is int and not x % n
+                                    for x in c.coeffs):
+        return _trusted([x // n for x in c.coeffs])
+    return c * Fraction(1, n)
+
+
+def _index_times(f: TSeries) -> list:
+    # [n f_n]: numerators of a series whose t^n-coefficient is f_n
+    return [c * n for n, c in enumerate(f.coeffs)]
+
+
+def _over_index(nums: list) -> TSeries:
+    # the series with t^n-coefficient nums[n] / n and zero constant term
+    order = len(nums) - 1
+    return TSeries(order, [ZERO] + [_div(nums[n], n)
+                                    for n in range(1, order + 1)])
+
+
+def _adams_sum(nums: list, mobius_weighted: bool) -> list:
+    """[0, S_1, ..., S_N] with S_n = sum_{d|n} w(d) psi_d(nums[n/d]).
+
+    w is the Moebius function when mobius_weighted, else 1; psi_d is
+    q -> q^d on a coefficient.  nums[0] is ignored.
+    """
+    order = len(nums) - 1
+    out = [ZERO] * (order + 1)
+    for k in range(1, order + 1):
+        c = nums[k]
+        if _is_zero_coeff(c):
+            continue
+        for d in range(1, order // k + 1):
+            w = mobius(d) if mobius_weighted else 1
+            if w > 0:
+                out[k * d] = out[k * d] + c.adams(d)
+            elif w < 0:
+                out[k * d] = out[k * d] - c.adams(d)
+    return out
+
+
+def _log_numerators(f: TSeries, who: str) -> list:
+    """[0, H_1, ..., H_N] with H_n = n f_n - sum_{k<n} H_k f_{n-k}.
+
+    H = t f'/f, so H_n = n [t^n] log f; the recurrence never divides.
+    """
+    _require_unit_constant(f, who)
+    h = [ZERO] * (f.order + 1)
+    for n in range(1, f.order + 1):
+        acc = ZERO
+        for k in range(1, n):
+            hk, fnk = h[k], f.coeffs[n - k]
+            if not (_is_zero_coeff(hk) or _is_zero_coeff(fnk)):
+                acc = acc + hk * fnk
+        h[n] = f.coeffs[n] * n - acc
+    return h
+
+
+def _exp_of_numerators(nums: list) -> TSeries:
+    """exp of the series with t^n-coefficient nums[n] / n, n >= 1.
+
+    Recurrence n e_n = sum_{k=1..n} nums[k] e_{n-k}, from t e' = N e with
+    N = sum_n nums[n] t^n; the only division is the exact one by n per
+    coefficient.
+    """
+    order = len(nums) - 1
+    e = [ONE] + [ZERO] * order
+    for n in range(1, order + 1):
+        acc = ZERO
+        for k in range(1, n + 1):
+            pk, rest = nums[k], e[n - k]
+            if not (_is_zero_coeff(pk) or _is_zero_coeff(rest)):
+                acc = acc + pk * rest
+        e[n] = _div(acc, n)
+    return TSeries(order, e)
+
+
 def psi(f: TSeries) -> TSeries:
     """Psi = sum_{n>=1} psi_n/n applied to a series without constant term."""
     _require_zero_constant(f, "Psi")
-    acc = TSeries(f.order)
-    for n in range(1, f.order + 1):
-        acc = acc + f.adams(n) * Fraction(1, n)
-    return acc
+    return _over_index(_adams_sum(_index_times(f), False))
 
 
 def psi_inv(f: TSeries) -> TSeries:
     """Inverse of Psi: sum_{n>=1} mu(n) psi_n / n."""
     _require_zero_constant(f, "Psi_inv")
-    acc = TSeries(f.order)
-    for n in range(1, f.order + 1):
-        mu = mobius(n)
-        if mu:
-            acc = acc + f.adams(n) * Fraction(mu, n)
-    return acc
+    return _over_index(_adams_sum(_index_times(f), True))
 
 
 def series_exp(f: TSeries) -> TSeries:
-    """Ordinary exp of a series with zero constant term.
-
-    Recurrence n*g_n = sum_{k=1..n} k f_k g_{n-k}, from g' = f' g.
-    """
+    """Ordinary exp of a series with zero constant term."""
     _require_zero_constant(f, "series_exp")
-    g = [ONE] + [ZERO] * f.order
-    for n in range(1, f.order + 1):
-        acc = ZERO
-        for k in range(1, n + 1):
-            fk = f.coeffs[k]
-            if _is_zero_coeff(fk):
-                continue
-            acc = acc + (fk * k) * g[n - k]
-        g[n] = acc * Fraction(1, n)
-    return TSeries(f.order, g)
+    return _exp_of_numerators(_index_times(f))
 
 
 def series_log(f: TSeries) -> TSeries:
-    """Ordinary log of a series with constant term 1.
-
-    Recurrence h_n = f_n - (1/n) sum_{k=1..n-1} k h_k f_{n-k}.
-    """
-    _require_unit_constant(f, "series_log")
-    h = [ZERO] * (f.order + 1)
-    for n in range(1, f.order + 1):
-        acc = ZERO
-        for k in range(1, n):
-            hk = h[k]
-            if _is_zero_coeff(hk):
-                continue
-            fnk = f.coeffs[n - k]
-            if _is_zero_coeff(fnk):
-                continue
-            acc = acc + (hk * k) * fnk
-        h[n] = f.coeffs[n] - acc * Fraction(1, n)
-    return TSeries(f.order, h)
+    """Ordinary log of a series with constant term 1."""
+    return _over_index(_log_numerators(f, "series_log"))
 
 
 def Exp(f: TSeries) -> TSeries:
     """Plethystic exponential exp . Psi."""
-    return series_exp(psi(f))
+    _require_zero_constant(f, "Exp")
+    return _exp_of_numerators(_adams_sum(_index_times(f), False))
 
 
 def Log(g: TSeries) -> TSeries:
     """Plethystic logarithm Psi_inv . log; inverse of Exp."""
-    return psi_inv(series_log(g))
+    return _over_index(_adams_sum(_log_numerators(g, "Log"), True))
 
 
 def pow_scalar(f: TSeries, g: ScalarLike) -> TSeries:
     """Ordinary power f^g = exp(g log f) for a scalar exponent g."""
-    _require_unit_constant(f, "pow_scalar")
-    return series_exp(series_log(f) * g)
+    return _exp_of_numerators([h * g for h in _log_numerators(f, "pow_scalar")])
 
 
 def Pow(f: TSeries, g: ScalarLike) -> TSeries:
     """Plethystic power Pow(f, g) = Exp(g Log(f))."""
-    _require_unit_constant(f, "Pow")
-    return Exp(Log(f) * g)
+    logs = _adams_sum(_log_numerators(f, "Pow"), True)
+    return _exp_of_numerators(_adams_sum([c * g for c in logs], False))
 
 
 def irreducible_poly_count(d: int) -> QPoly:

@@ -33,6 +33,7 @@ integer polynomials, so the int case is the fast path:
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Iterable, Union
 
 Scalar = Union[int, Fraction]
@@ -511,24 +512,19 @@ def adams_q(f: QValue, n: int) -> QValue:
 def expand_in_s(p: QPoly) -> list:
     """Coefficients c_0..c_k with p = sum c_k (q-1)^k.
 
-    Repeated synthetic division by (q - 1); exact.  The zero polynomial
-    yields an empty list.
+    Repeated synthetic division by (q - 1); exact.  With the coefficients
+    listed from the top down, one division is a running sum: the last sum
+    is the remainder, the value at q = 1, and the others are the quotient,
+    again from the top down.  The zero polynomial yields an empty list.
 
     >>> expand_in_s(QPoly([1, -2, 1]))   # (q-1)^2
     [0, 0, 1]
     """
-    a = list(p.coeffs)
+    top_down = p.coeffs[::-1]
     out = []
-    while a:
-        if len(a) == 1:
-            out.append(_norm(a[0]))
-            break
-        b = [0] * (len(a) - 1)
-        b[-1] = a[-1]
-        for i in range(len(a) - 2, 0, -1):
-            b[i - 1] = a[i] + b[i]
-        out.append(_norm(a[0] + b[0]))
-        a = b
+    while top_down:
+        top_down = list(accumulate(top_down))
+        out.append(_norm(top_down.pop()))
     return out
 
 

@@ -1,12 +1,20 @@
 """Counting polynomials, E-polynomials, Euler characteristics, positivity."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import charvar
+
 from charvar.arith import mobius, partitions, totient
 from charvar.plethystic import Exp
-from charvar.qpoly import QPoly, ONE, adams_q, expand_in_s, q
+from charvar.qpoly import (
+    QPoly, ONE, adams_q, expand_in_s, limit_at_1, q, ratio,
+)
 from charvar.counting import (
     CharVarTable, IntegralityError, _certified_integral, abs_ind_counts,
     abs_ind_series, abs_irr_counts, abs_irr_series, build_table,
@@ -194,6 +202,38 @@ def test_euler_characteristics_small():
             assert chi_irr == mobius(d) * d ** (m - 2)
     with pytest.raises(ValueError):
         euler_characteristics(1, 2)
+
+
+def test_euler_characteristics_are_limits_at_one():
+    for m in (2, 3, 4):
+        reps, irrs = rep_series(m, 8), abs_irr_series(m, 8)
+        for d in range(1, 9):
+            expected = tuple(
+                limit_at_1(ratio(series.coeff(d), (q - 1) ** m))
+                for series in (reps, irrs))
+            assert euler_characteristics(m, d, dmax=8) == expected, (m, d)
+
+
+def test_smaller_order_is_a_truncation_of_the_longest_series():
+    # a fresh interpreter builds each series at order 3 with nothing cached
+    script = ("from charvar.counting import orbit_series, rep_series\n"
+              "for m in (2, 3):\n"
+              "    print(rep_series(m, 3))\n"
+              "    print(orbit_series(m, 3))\n")
+    src = str(Path(charvar.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    fresh = iter(done.stdout.splitlines())
+    for m in (2, 3):
+        for series in (rep_series, orbit_series):
+            deep = series(m, 9)
+            shallow = series(m, 3)
+            assert shallow.order == 3
+            assert shallow.coeffs == deep.coeffs[:4]
+            assert str(shallow) == next(fresh)
 
 
 def test_positivity_rank2_m2():

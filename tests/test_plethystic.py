@@ -8,7 +8,7 @@ import pytest
 from charvar.arith import divisors, mobius
 from charvar.qpoly import QPoly, ONE, ZERO, expand_in_s, limit_at_1, q, ratio
 from charvar.plethystic import (
-    Exp, Log, Pow, irreducible_poly_count, pow_product, pow_scalar, psi,
+    Exp, Log, Pow, _div, irreducible_poly_count, pow_product, pow_scalar, psi,
     psi_inv, series_exp, series_log,
 )
 from charvar.tseries import TSeries
@@ -28,6 +28,112 @@ def rand_nilpotent_series(rng, order, deg=2):
 
 def t_series(order):
     return TSeries.from_terms(order, {1: 1})
+
+
+# -- reference: the compositions with a division by n at every step ----------
+
+
+def _is_zero(c):
+    return isinstance(c, QPoly) and c.is_zero
+
+
+def ref_adams_sum(f, weight):
+    acc = TSeries(f.order)
+    for n in range(1, f.order + 1):
+        if weight(n):
+            acc = acc + f.adams(n) * weight(n)
+    return acc
+
+
+def ref_psi(f):
+    return ref_adams_sum(f, lambda n: Fraction(1, n))
+
+
+def ref_psi_inv(f):
+    return ref_adams_sum(f, lambda n: Fraction(mobius(n), n))
+
+
+def ref_series_exp(f):
+    g = [ONE] + [ZERO] * f.order
+    for n in range(1, f.order + 1):
+        acc = ZERO
+        for k in range(1, n + 1):
+            if not _is_zero(f.coeffs[k]):
+                acc = acc + (f.coeffs[k] * k) * g[n - k]
+        g[n] = acc * Fraction(1, n)
+    return TSeries(f.order, g)
+
+
+def ref_series_log(f):
+    h = [ZERO] * (f.order + 1)
+    for n in range(1, f.order + 1):
+        acc = ZERO
+        for k in range(1, n):
+            if not (_is_zero(h[k]) or _is_zero(f.coeffs[n - k])):
+                acc = acc + (h[k] * k) * f.coeffs[n - k]
+        h[n] = f.coeffs[n] - acc * Fraction(1, n)
+    return TSeries(f.order, h)
+
+
+def ref_Exp(f):
+    return ref_series_exp(ref_psi(f))
+
+
+def ref_Log(g):
+    return ref_psi_inv(ref_series_log(g))
+
+
+def rand_coeff(rng, kind):
+    if kind == "ratfun":
+        # a q-power denominator, as the twist q^(-e) makes, stays a q-power
+        # under every Adams operation, so the products stay small
+        return ratio(q + rng.choice((-1, 1)), q ** rng.randint(1, 2))
+    p = QPoly([rng.randint(-3, 3) for _ in range(rng.randint(1, 3))])
+    if kind == "fraction":
+        return p * Fraction(1, rng.randint(1, 3))
+    return p
+
+
+def test_numerator_kernel_matches_per_step_division():
+    rng = random.Random(41)
+    # rational-function arithmetic reduces by a gcd at every operation,
+    # which makes that kind several times slower per order
+    for kind, top in (("int", 10), ("fraction", 10), ("ratfun", 6)):
+        for order in range(1, top + 1):
+            # one rational-function coefficient is enough to leave QPoly
+            tail = [rand_coeff(rng, "int" if kind == "ratfun" else kind)
+                    for _ in range(order)]
+            if kind == "ratfun":
+                tail[rng.randrange(order)] = rand_coeff(rng, kind)
+            f = TSeries(order, [ONE] + tail)
+            g = TSeries(order, [ZERO] + tail)
+            exponents = [rand_coeff(rng, "int" if kind == "ratfun" else kind)]
+            if order <= 4:
+                exponents.append(rand_coeff(rng, "ratfun"))
+            assert psi(g) == ref_psi(g), (kind, order)
+            assert psi_inv(g) == ref_psi_inv(g), (kind, order)
+            assert series_exp(g) == ref_series_exp(g), (kind, order)
+            assert series_log(f) == ref_series_log(f), (kind, order)
+            assert Exp(g) == ref_Exp(g), (kind, order)
+            assert Log(f) == ref_Log(f), (kind, order)
+            for c in exponents:
+                assert Pow(f, c) == ref_Exp(ref_Log(f) * c), (kind, order)
+                assert pow_scalar(f, c) == \
+                    ref_series_exp(ref_series_log(f) * c), (kind, order)
+
+
+def test_exact_division_stays_int_when_n_divides():
+    rng = random.Random(43)
+    for _ in range(200):
+        n = rng.randint(2, 6)
+        c = QPoly([rng.choice((0, n, -2 * n, 1, 3)) * rng.randint(1, 4)
+                   for _ in range(rng.randint(0, 5))])
+        out = _div(c, n)
+        assert out * n == c
+        divides = all(x % n == 0 for x in c.coeffs)
+        assert all(type(x) is int for x in out.coeffs) == divides
+    r = ratio(q, q + 1)
+    assert _div(r, 3) * 3 == r
 
 
 def test_psi_of_t():

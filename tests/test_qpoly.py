@@ -73,6 +73,14 @@ def test_expand_in_s_roundtrip():
     for _ in range(60):
         p = rand_poly(rng, rng.randint(0, 10), frac=rng.random() < 0.3)
         assert from_s_coeffs(expand_in_s(p)) == p
+    rng = random.Random(29)
+    for _ in range(40):
+        p = rand_poly(rng, rng.randint(0, 12), frac=True)
+        cs = expand_in_s(p)
+        assert from_s_coeffs(cs) == p
+        assert len(cs) == len(p.coeffs)
+        # integral values come back as int, as everywhere in QPoly
+        assert all(type(c) is int or c.denominator != 1 for c in cs)
 
 
 def test_adams_examples():

@@ -1,6 +1,13 @@
 """The aggregated consistency suite."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import charvar
 
 from charvar.verify import (CheckResult, all_passed, rank_two_closed_forms,
                             run_verification)
@@ -49,3 +56,28 @@ def test_invalid_arguments():
 def test_check_result_shape():
     item = CheckResult("thing", True, "fine")
     assert item.passed and item.name == "thing"
+
+
+def test_wrong_count_fails_under_optimize():
+    # A_2 one too large; python -O strips assert statements, not the checks
+    patch = ("import sys; from charvar import verify; "
+             "real = verify.rep_counts; "
+             "verify.rep_counts = lambda m, dmax: "
+             "[c + 1 if d == 2 else c for d, c in enumerate(real(m, dmax))]; ")
+    library = patch + (
+        "checks = verify.run_verification(2, 2, ()); "
+        "print([c.name for c in checks if not c.passed])")
+    command = patch + (
+        "from charvar.cli import main; "
+        "sys.exit(main(['verify', '--m', '2', '--dmax', '2', '--primes=']))")
+    src = str(Path(charvar.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = [subprocess.run([sys.executable, "-O", "-c", script],
+                           env={**os.environ, "PYTHONPATH": path},
+                           capture_output=True, text=True, timeout=60)
+            for script in (library, command)]
+    assert runs[0].returncode == 0, runs[0].stderr
+    assert runs[0].stdout == (
+        "['rank-2 closed forms', 'semisimple decomposition']\n")
+    assert runs[1].returncode == 3, runs[1].stderr
+    assert "[FAIL] rank-2 closed forms: identity violated" in runs[1].stdout
