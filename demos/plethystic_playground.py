@@ -1,7 +1,7 @@
 """A tour of the power-series kernel: Exp, Log, Pow and Adams twists.
 
-Everything runs over exact polynomial (and rational-function)
-coefficients in q; nothing here is numeric.
+Everything runs over exact polynomial coefficients in q; nothing here is
+numeric.
 """
 
 from charvar import Exp, Log, Pow, TSeries, irreducible_poly_count, q

@@ -30,8 +30,8 @@ from .fforacle import (
 )
 from .plethystic import Exp, Log, Pow, irreducible_poly_count, pow_product
 from .qpoly import (
-    ExactDivisionError, PoleError, QPoly, QRatFun, expand_in_s,
-    from_s_coeffs, limit_at_1, poly_str, q, ratio,
+    ExactDivisionError, PoleError, QPoly, expand_in_s, limit_at_1, poly_str,
+    q, ratio,
 )
 from .tseries import TSeries
 from .verify import CheckResult, all_passed, run_verification
@@ -41,14 +41,14 @@ __version__ = "0.1.0"
 __all__ = [
     "CensusRow", "CharVarTable", "CheckResult", "ConjClass",
     "ExactDivisionError", "Exp", "IdentityError", "IntegralityError", "Log",
-    "OracleCensus", "PoleError", "PositivityReport", "Pow", "QPoly", "QRatFun",
+    "OracleCensus", "PoleError", "PositivityReport", "Pow", "QPoly",
     "SizeGuardError", "TSeries", "TableRow", "abs_ind_counts",
     "abs_ind_series", "abs_irr_counts", "abs_irr_series", "all_passed",
     "build_table", "burnside_orbit_count", "census_series_checks",
     "centralizer_weight", "class_weight_series", "conjugacy_classes",
     "connected_tuples", "connected_weight_poly", "connected_weight_series",
     "default_dmax", "divisors", "e_polynomial", "euler_characteristics",
-    "expand_in_s", "factorize", "from_s_coeffs", "gl_enumerate", "gl_order",
+    "expand_in_s", "factorize", "gl_enumerate", "gl_order",
     "hall_subgroup_counts", "inversions", "irreducible_poly_count",
     "is_absolutely_indecomposable", "is_absolutely_irreducible", "is_prime",
     "length_gen_poly", "limit_at_1", "limit_transform", "mobius",

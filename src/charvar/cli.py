@@ -150,19 +150,22 @@ def cmd_verify(args) -> tuple:
                     else default_dmax(args.m),
             "primes": list(primes),
             "checks": [{"name": c.name, "passed": c.passed,
+                        **({"skipped": True} if c.skipped else {}),
                         "detail": c.detail} for c in checks],
             "all_passed": ok,
         }
         return json.dumps(payload, indent=2) + "\n", code
     if args.format == "csv":
-        rows = [[c.name, str(c.passed).lower(), c.detail] for c in checks]
+        rows = [[c.name, "skip" if c.skipped else str(c.passed).lower(),
+                 c.detail] for c in checks]
         return _csv_text(["name", "passed", "detail"], rows), code
     lines = []
     for c in checks:
-        mark = "ok " if c.passed else "FAIL"
+        mark = "skip" if c.skipped else "ok " if c.passed else "FAIL"
         lines.append(f"[{mark}] {c.name}: {c.detail}")
-    passed = sum(c.passed for c in checks)
-    lines.append(f"{passed}/{len(checks)} checks passed")
+    summary = f"{sum(c.passed for c in checks)}/{len(checks)} checks passed"
+    skipped = sum(c.skipped for c in checks)
+    lines.append(f"{summary}, {skipped} skipped" if skipped else summary)
     return "\n".join(lines) + "\n", code
 
 

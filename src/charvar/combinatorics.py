@@ -22,12 +22,13 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from typing import Iterable, List, Tuple
 
+from .arith import divisors
 from .counting import abs_irr_counts
 from .plethystic import Exp, series_exp, series_log
-from .qpoly import QPoly, ONE, ZERO, adams_q, limit_at_1, q, ratio
+from .qpoly import QPoly, ONE, ZERO, _dot, limit_at_1, q
 from .tseries import TSeries
 
 Perm = Tuple[int, ...]
@@ -192,21 +193,22 @@ def limit_transform(m: int, nmax: int) -> List[Fraction]:
     The x^n-coefficient of the transformed absolutely-irreducible series is
     sum_{kj=n} (1/k) * irr_j(q^k) / ((q^k - 1)(q - 1)^(n(m-1))), a rational
     function whose pole at q = 1 cancels only in the full divisor sum; the
-    summed limit equals J_n/n.
+    summed limit equals J_n/n.  Over the common denominator
+    (q - 1)^(n(m-1)) prod_{k|n} (q^k - 1) the sum is one quotient of
+    polynomials, and limit_at_1 raises PoleError if the pole survives.
     """
     if m < 2:
         raise ValueError("needs m >= 2")
     irr = abs_irr_counts(m, nmax)
     out = []
     for n in range(1, nmax + 1):
-        total = ZERO
-        for k in range(1, n + 1):
-            if n % k:
-                continue
-            j = n // k
-            den = (q ** k - 1) * (q - 1) ** (n * (m - 1))
-            total = total + ratio(adams_q(irr[j], k), den) * Fraction(1, k)
-        out.append(Fraction(limit_at_1(total)))
+        ks = divisors(n)
+        cyclic = [q ** k - 1 for k in ks]
+        num = _dot((irr[n // k].adams(k) * Fraction(1, k),
+                    prod(cyclic[:i] + cyclic[i + 1:], start=ONE))
+                   for i, k in enumerate(ks))
+        den = prod(cyclic, start=(q - 1) ** (n * (m - 1)))
+        out.append(Fraction(limit_at_1(num, den)))
     return out
 
 

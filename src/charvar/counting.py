@@ -35,7 +35,7 @@ from typing import Optional, Tuple
 
 from .plethystic import Log, Pow
 from .qpoly import (
-    QPoly, ONE, ZERO, _poly_str, _trusted, expand_in_s, poly_str, q,
+    QPoly, ONE, ZERO, _dot, _poly_str, _trusted, expand_in_s, poly_str, q,
 )
 from .tseries import TSeries
 
@@ -83,7 +83,7 @@ def qpochhammer_series(m: int, order: int) -> TSeries:
 def _twisted_inverse(m: int, order: int) -> TSeries:
     # invert, then scale t^d by q^((m-1) binom(d,2)); the t^d-coefficient
     # becomes a polynomial of degree (m-1) d^2 related to |GL_d|^(m-1)
-    return qpochhammer_series(m, order).inverse().qpower_twist(m, -1)
+    return qpochhammer_series(m, order).inverse().qpower_twist(m)
 
 
 def _certified_integral(f: TSeries, what: str) -> TSeries:
@@ -179,9 +179,8 @@ def class_weight_series(m: int, order: int) -> TSeries:
         table.append(row)
         for s in range(a, order + 1):
             rest = s - a
-            acc = ZERO
-            for b in range(1 if rest else 0, min(a, rest) + 1):
-                acc = acc + weights[b] * table[b][rest]
+            acc = _dot((weights[b], table[b][rest])
+                       for b in range(1 if rest else 0, min(a, rest) + 1))
             if s <= order - a:
                 row[s] = acc
             coeffs[s] = coeffs[s] + acc

@@ -432,7 +432,7 @@ def orbit_census(d: int, p: int, m: int) -> OracleCensus:
     n = gl_order(d, p)
     # the conjugation index table alone costs n**2
     if n ** max(m, 2) > _CENSUS_LIMIT:
-        raise SizeGuardError(f"sweeping {n}**{m} tuples is too much")
+        raise SizeGuardError(f"sweeping {n}**{max(m, 2)} tuples is too much")
     group = gl_enumerate(d, p)
     conj = _conjugation_table(group, d, p)
     # prefixes[j]: (last index, mats, End, span) of the first j entries of

@@ -1,6 +1,6 @@
 """Plethystic calculus on truncated series.
 
-The operators here act on TSeries over exact q-coefficients:
+The operators here act on TSeries with QPoly coefficients:
 
     psi_n   : q -> q^n, t -> t^n                       (Adams operation)
     Psi     = sum_{n>=1} psi_n / n
@@ -48,18 +48,14 @@ from fractions import Fraction
 from typing import Union
 
 from .arith import divisors, mobius
-from .qpoly import QPoly, QRatFun, ZERO, ONE, _trusted, q
+from .qpoly import QPoly, ZERO, ONE, _dot, _trusted, q
 from .tseries import TSeries
 
-ScalarLike = Union[int, Fraction, QPoly, QRatFun]
-
-
-def _is_zero_coeff(c) -> bool:
-    return isinstance(c, QPoly) and c.is_zero
+ScalarLike = Union[int, Fraction, QPoly]
 
 
 def _require_zero_constant(f: TSeries, who: str) -> None:
-    if not _is_zero_coeff(f.constant):
+    if f.constant:
         raise ValueError(f"{who} needs a series with zero constant term")
 
 
@@ -68,12 +64,11 @@ def _require_unit_constant(f: TSeries, who: str) -> None:
         raise ValueError(f"{who} needs a series with constant term 1")
 
 
-def _div(c, n: int):
+def _div(c: QPoly, n: int) -> QPoly:
     """c / n exactly; an int polynomial that n divides keeps int coefficients."""
     if n == 1:
         return c
-    if isinstance(c, QPoly) and all(type(x) is int and not x % n
-                                    for x in c.coeffs):
+    if all(type(x) is int and not x % n for x in c.coeffs):
         return _trusted([x // n for x in c.coeffs])
     return c * Fraction(1, n)
 
@@ -100,7 +95,7 @@ def _adams_sum(nums: list, mobius_weighted: bool) -> list:
     out = [ZERO] * (order + 1)
     for k in range(1, order + 1):
         c = nums[k]
-        if _is_zero_coeff(c):
+        if not c:
             continue
         for d in range(1, order // k + 1):
             w = mobius(d) if mobius_weighted else 1
@@ -117,14 +112,10 @@ def _log_numerators(f: TSeries, who: str) -> list:
     H = t f'/f, so H_n = n [t^n] log f; the recurrence never divides.
     """
     _require_unit_constant(f, who)
+    c = f.coeffs
     h = [ZERO] * (f.order + 1)
     for n in range(1, f.order + 1):
-        acc = ZERO
-        for k in range(1, n):
-            hk, fnk = h[k], f.coeffs[n - k]
-            if not (_is_zero_coeff(hk) or _is_zero_coeff(fnk)):
-                acc = acc + hk * fnk
-        h[n] = f.coeffs[n] * n - acc
+        h[n] = c[n] * n - _dot((h[k], c[n - k]) for k in range(1, n))
     return h
 
 
@@ -138,12 +129,7 @@ def _exp_of_numerators(nums: list) -> TSeries:
     order = len(nums) - 1
     e = [ONE] + [ZERO] * order
     for n in range(1, order + 1):
-        acc = ZERO
-        for k in range(1, n + 1):
-            pk, rest = nums[k], e[n - k]
-            if not (_is_zero_coeff(pk) or _is_zero_coeff(rest)):
-                acc = acc + pk * rest
-        e[n] = _div(acc, n)
+        e[n] = _div(_dot((nums[k], e[n - k]) for k in range(1, n + 1)), n)
     return TSeries(order, e)
 
 

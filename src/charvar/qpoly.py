@@ -1,8 +1,8 @@
-"""Exact arithmetic in Q[q] and Q(q).
+"""Exact polynomials in q.
 
-Dense univariate polynomials over the rationals, their quotient field, and
-two change-of-basis tools used throughout the counting machinery: expansion
-in powers of s = q - 1, and exact limits at q = 1 for rational functions
+Dense univariate polynomials over the rationals, and two change-of-basis
+tools used throughout the counting machinery: expansion in powers of
+s = q - 1, and exact limits at q = 1 of a quotient of two polynomials
 whose singularity there is removable.
 
 Coefficients are stored as plain ints whenever the value is an integer and
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
+from operator import add
 from typing import Callable, Iterable, Union
 
 Scalar = Union[int, Fraction]
@@ -165,12 +166,6 @@ class QPoly:
         return bool(self.coeffs)
 
     @property
-    def leading(self) -> Scalar:
-        if not self.coeffs:
-            return 0
-        return self.coeffs[-1]
-
-    @property
     def constant(self) -> Scalar:
         return self.coeffs[0] if self.coeffs else 0
 
@@ -246,7 +241,7 @@ class QPoly:
 
     def __pow__(self, n: int) -> "QPoly":
         if n < 0:
-            raise ValueError("negative power of a QPoly; use ratio()")
+            raise ValueError("negative power of a QPoly")
         result = ONE
         base = self
         while n:
@@ -334,6 +329,26 @@ ONE = QPoly((1,))
 q = QPoly((0, 1))
 
 
+def _dot(pairs) -> QPoly:
+    """Sum of a * b over the (a, b) pairs of QPolys with both factors nonzero.
+
+    The one sum-of-products loop of the series kernels (series product and
+    inverse, the Log and Exp recurrences, the class-weight recurrence); the
+    partial sum is a plain coefficient list, normalised once at the end.
+
+    >>> _dot([(q, q), (ZERO, q), (ONE, q - 1)]) == q ** 2 + q - 1
+    True
+    """
+    out = []
+    for a, b in pairs:
+        if a.coeffs and b.coeffs:
+            cs = (a * b).coeffs
+            if len(out) < len(cs):
+                out.extend([0] * (len(cs) - len(out)))
+            out[:len(cs)] = map(add, out, cs)
+    return QPoly(out)
+
+
 def poly_str(p: QPoly, var: str = "q") -> str:
     """Human-readable form, highest degree first: 'q^3 - 2*q + 1'."""
     return _poly_str(p, lambda k: var if k == 1 else f"{var}^{k}")
@@ -363,152 +378,6 @@ def _poly_str(p: QPoly, monomial: Callable[[int], str]) -> str:
     return text
 
 
-def _as_qpoly(x) -> QPoly:
-    if isinstance(x, QPoly):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return QPoly((x,))
-    raise TypeError(f"cannot coerce {x!r} to QPoly")
-
-
-def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
-    """Monic gcd over the rationals (Euclid; remainders kept monic)."""
-    a, b = _as_qpoly(a), _as_qpoly(b)
-    while not b.is_zero:
-        lead = b.leading
-        if lead != 1:
-            b = b / lead
-        a, b = b, divmod(a, b)[1]
-    if a.is_zero:
-        return ZERO
-    return a / a.leading if a.leading != 1 else a
-
-
-class QRatFun:
-    """Reduced rational function num/den in q.
-
-    Invariants: den is monic of degree >= 1 and gcd(num, den) = 1.  Values
-    that reduce to polynomials are represented as QPoly instead; use the
-    ratio() factory, which enforces this, rather than the raw constructor.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: QPoly, den: QPoly):
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QRatFun is immutable")
-
-    @property
-    def is_zero(self) -> bool:
-        return False          # zero reduces to QPoly
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, QRatFun):
-            return self.num == other.num and self.den == other.den
-        if isinstance(other, (QPoly, int, Fraction)):
-            return False      # canonical form: would have been demoted
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.num.coeffs, self.den.coeffs))
-
-    def __neg__(self):
-        return QRatFun(-self.num, self.den)
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, QPoly)):
-            other = _as_qpoly(other)
-            return ratio(self.num + other * self.den, self.den)
-        if isinstance(other, QRatFun):
-            return ratio(self.num * other.den + other.num * self.den,
-                         self.den * other.den)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        neg = -other if isinstance(other, (QPoly, QRatFun)) else -_as_qpoly(other)
-        return self + neg
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QPoly)):
-            return ratio(self.num * _as_qpoly(other), self.den)
-        if isinstance(other, QRatFun):
-            return ratio(self.num * other.num, self.den * other.den)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, QPoly)):
-            return ratio(self.num, self.den * _as_qpoly(other))
-        if isinstance(other, QRatFun):
-            return ratio(self.num * other.den, self.den * other.num)
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        return ratio(_as_qpoly(other) * self.den, self.num)
-
-    def __pow__(self, n: int):
-        if n == 0:
-            return ONE
-        if n < 0:
-            return ratio(self.den ** (-n), self.num ** (-n))
-        return ratio(self.num ** n, self.den ** n)
-
-    def evaluate(self, x: Scalar) -> Scalar:
-        dv = self.den.evaluate(x)
-        if dv == 0:
-            raise PoleError(f"pole at q = {x}")   # reduced, so num(x) != 0
-        return _norm(Fraction(self.num.evaluate(x)) / dv)
-
-    __call__ = evaluate
-
-    def adams(self, n: int) -> "QRatFun":
-        # reducedness and monic den survive q -> q^n
-        return QRatFun(self.num.adams(n), self.den.adams(n))
-
-    def __str__(self):
-        return f"({poly_str(self.num)})/({poly_str(self.den)})"
-
-    def __repr__(self):
-        return f"QRatFun({self})"
-
-
-def ratio(num, den=ONE):
-    """num/den as a canonical QPoly (when polynomial) or QRatFun."""
-    num, den = _as_qpoly(num), _as_qpoly(den)
-    if den.is_zero:
-        raise ZeroDivisionError("zero denominator")
-    if num.is_zero:
-        return ZERO
-    g = poly_gcd(num, den)
-    if g.degree > 0:
-        num, den = num.divexact(g), den.divexact(g)
-    lead = den.leading
-    if lead != 1:
-        num, den = num / lead, den / lead
-    if den.degree == 0:
-        return num
-    return QRatFun(num, den)
-
-
-QValue = Union[QPoly, QRatFun]
-
-
-def adams_q(f: QValue, n: int) -> QValue:
-    """Substitute q -> q^n in a polynomial or rational function."""
-    if n < 1:
-        raise ValueError("adams operation needs n >= 1")
-    return f.adams(n)
-
-
 def expand_in_s(p: QPoly) -> list:
     """Coefficients c_0..c_k with p = sum c_k (q-1)^k.
 
@@ -528,42 +397,36 @@ def expand_in_s(p: QPoly) -> list:
     return out
 
 
-def from_s_coeffs(cs: Iterable[Scalar]) -> QPoly:
-    """Reassemble sum c_k (q-1)^k from its coefficient list."""
-    s = q - 1
-    p = ZERO
-    for c in reversed(list(cs)):
-        p = p * s + QPoly((c,))
-    return p
 
 
-def _q1_valuation(p: QPoly):
-    # p = (q-1)^k * p1 with p1(1) != 0; requires p nonzero
-    k = 0
-    qm1 = q - 1
-    while p.evaluate(1) == 0:
-        p = p.divexact(qm1)
-        k += 1
-    return k, p
+def ratio(num: QPoly, den: QPoly = ONE) -> QPoly:
+    """The exact quotient num/den; raises ExactDivisionError on a remainder.
 
-
-def limit_at_1(f: QValue) -> Scalar:
-    """Exact limit of f(q) as q -> 1.
-
-    Polynomials evaluate directly.  For rational functions the common
-    (q-1)-power of numerator and denominator is cancelled first; a genuine
-    pole raises PoleError.
+    >>> ratio(q ** 2 - 1, q - 1) == q + 1
+    True
     """
-    if isinstance(f, (int, Fraction)):
-        return _norm(f)
-    if isinstance(f, QPoly):
-        return f.evaluate(1)
-    if f.num.is_zero:
+    return num.divexact(den)
+
+
+def limit_at_1(num: QPoly, den: QPoly = ONE) -> Scalar:
+    """Exact limit of num(q)/den(q) as q -> 1.
+
+    In powers of s = q - 1, the limit is the quotient of the lowest nonzero
+    coefficients of num and den when both sit at the same power of s, and 0
+    when the one of num sits higher; a lower one is a genuine pole and
+    raises PoleError.  No common factor needs to be cancelled first.
+
+    >>> limit_at_1(q ** 2 - 1, q - 1)
+    2
+    """
+    if den.is_zero:
+        raise ZeroDivisionError("zero denominator")
+    if num.is_zero:
         return 0
-    vn, num1 = _q1_valuation(f.num)
-    vd, den1 = _q1_valuation(f.den)
+    vn, cn = next((k, c) for k, c in enumerate(expand_in_s(num)) if c)
+    vd, cd = next((k, c) for k, c in enumerate(expand_in_s(den)) if c)
     if vn < vd:
         raise PoleError(f"pole of order {vd - vn} at q = 1")
     if vn > vd:
         return 0
-    return _norm(Fraction(num1.evaluate(1)) / den1.evaluate(1))
+    return _norm(Fraction(cn) / cd)

@@ -1,25 +1,22 @@
 """Truncated formal power series in t over exact q-coefficients.
 
 A TSeries carries its truncation order explicitly: it represents an element
-of Q(q)[[t]] modulo t^(order+1).  Binary operations truncate to the smaller
-order, so precision can only shrink, never silently extend.  Coefficients
-are QPoly by default and may be QRatFun where a construction genuinely
-introduces denominators in q.
+of Q[q][[t]] modulo t^(order+1).  Binary operations truncate to the smaller
+order, so precision can only shrink, never silently extend.  Every
+coefficient is a QPoly; int and Fraction scalars are taken as constants.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable
 
 from .arith import binom2
-from .qpoly import QPoly, QRatFun, ZERO, ONE, adams_q, q, ratio
-
-Coeff = Union[QPoly, QRatFun]
+from .qpoly import QPoly, ZERO, ONE, _dot, q
 
 
-def _as_coeff(c) -> Coeff:
-    if isinstance(c, (QPoly, QRatFun)):
+def _as_coeff(c) -> QPoly:
+    if isinstance(c, QPoly):
         return c
     if isinstance(c, (int, Fraction)):
         return QPoly((c,))
@@ -61,12 +58,12 @@ class TSeries:
     def one(order: int) -> "TSeries":
         return TSeries.from_terms(order, {0: 1})
 
-    def coeff(self, d: int) -> Coeff:
+    def coeff(self, d: int) -> QPoly:
         """Coefficient of t^d (zero beyond the truncation order)."""
         return self.coeffs[d] if d <= self.order else ZERO
 
     @property
-    def constant(self) -> Coeff:
+    def constant(self) -> QPoly:
         return self.coeffs[0]
 
     def truncate(self, order: int) -> "TSeries":
@@ -74,7 +71,7 @@ class TSeries:
             return self
         return TSeries(order, self.coeffs[: order + 1])
 
-    def map_coeffs(self, fn: Callable[[Coeff], Coeff]) -> "TSeries":
+    def map_coeffs(self, fn: Callable[[QPoly], QPoly]) -> "TSeries":
         return TSeries(self.order, tuple(fn(c) for c in self.coeffs))
 
     def __eq__(self, other) -> bool:
@@ -91,7 +88,7 @@ class TSeries:
         return self.map_coeffs(lambda c: -c)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, QPoly, QRatFun)):
+        if isinstance(other, (int, Fraction, QPoly)):
             other = TSeries.from_terms(self.order, {0: other})
         if not isinstance(other, TSeries):
             return NotImplemented
@@ -102,7 +99,7 @@ class TSeries:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, QPoly, QRatFun)):
+        if isinstance(other, (int, Fraction, QPoly)):
             other = TSeries.from_terms(self.order, {0: other})
         if not isinstance(other, TSeries):
             return NotImplemented
@@ -112,23 +109,15 @@ class TSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QPoly, QRatFun)):
+        if isinstance(other, (int, Fraction, QPoly)):
             c = _as_coeff(other)
             return self.map_coeffs(lambda x: x * c)
         if not isinstance(other, TSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        out = [ZERO] * (n + 1)
-        for i in range(n + 1):
-            ci = self.coeffs[i]
-            if isinstance(ci, QPoly) and ci.is_zero:
-                continue
-            for j in range(n + 1 - i):
-                cj = other.coeffs[j]
-                if isinstance(cj, QPoly) and cj.is_zero:
-                    continue
-                out[i + j] = out[i + j] + ci * cj
-        return TSeries(n, out)
+        a, b = self.coeffs, other.coeffs
+        return TSeries(n, [_dot((a[i], b[k - i]) for i in range(k + 1))
+                           for k in range(n + 1)])
 
     __rmul__ = __mul__
 
@@ -151,15 +140,10 @@ class TSeries:
         """
         if self.coeffs[0] != ONE:
             raise ValueError("series inverse needs constant term 1")
+        c = self.coeffs
         b = [ONE] + [ZERO] * self.order
         for k in range(1, self.order + 1):
-            acc = ZERO
-            for j in range(1, k + 1):
-                cj = self.coeffs[j]
-                if isinstance(cj, QPoly) and cj.is_zero:
-                    continue
-                acc = acc + cj * b[k - j]
-            b[k] = -acc
+            b[k] = -_dot((c[j], b[k - j]) for j in range(1, k + 1))
         return TSeries(self.order, b)
 
     # -- substitutions ---------------------------------------------------------
@@ -172,35 +156,20 @@ class TSeries:
             return self
         out = [ZERO] * (self.order + 1)
         for j in range(self.order // n + 1):
-            cj = self.coeffs[j]
-            if not (isinstance(cj, QPoly) and cj.is_zero):
-                out[j * n] = adams_q(cj, n)
+            out[j * n] = self.coeffs[j].adams(n)
         return TSeries(self.order, out)
 
-    def qpower_twist(self, m: int, power: int) -> "TSeries":
-        """Scale the t^d coefficient by q^(power*(1-m)*binom(d,2)).
-
-        For power = -1 and m >= 1 every exponent is >= 0 and coefficients
-        stay polynomial; power = +1 with m >= 2 introduces genuine
-        denominators (QRatFun coefficients).
-        """
+    def qpower_twist(self, m: int) -> "TSeries":
+        """Scale the t^d coefficient by q^((m-1)*binom(d,2)), m >= 1."""
         if m < 1:
             raise ValueError("m must be >= 1")
-        if power not in (1, -1):
-            raise ValueError("power must be +1 or -1")
-        out = []
-        for d, c in enumerate(self.coeffs):
-            e = power * (1 - m) * binom2(d)
-            if e >= 0:
-                out.append(c * q ** e)
-            else:
-                out.append(c * ratio(ONE, q ** (-e)))
-        return TSeries(self.order, out)
+        return TSeries(self.order, [c * q ** ((m - 1) * binom2(d))
+                                    for d, c in enumerate(self.coeffs)])
 
     def __str__(self):
         parts = []
         for d, c in enumerate(self.coeffs):
-            if isinstance(c, QPoly) and c.is_zero:
+            if not c:
                 continue
             term = f"({c})" if d == 0 else f"({c})*t^{d}"
             parts.append(term)
@@ -210,14 +179,3 @@ class TSeries:
     def __repr__(self):
         return f"TSeries({self})"
 
-
-def series_mul(a: TSeries, b: TSeries) -> TSeries:
-    return a * b
-
-
-def series_inverse(a: TSeries) -> TSeries:
-    return a.inverse()
-
-
-def adams_t(a: TSeries, n: int) -> TSeries:
-    return a.adams(n)

@@ -3,8 +3,9 @@
 Each item recomputes one relation by two independent routes and compares
 with zero tolerance.  The command line `verify` subcommand renders the
 resulting list; library callers can inspect it directly.  Items that need
-more structure than the requested rank allows, or that require m >= 2,
-report themselves as skipped rather than failing.
+more structure than the requested rank allows, that require m >= 2, or
+that a size guard stops, are skipped: they verified nothing, so they count
+neither as passed nor as failed.
 """
 
 from __future__ import annotations
@@ -40,10 +41,12 @@ class CheckResult:
     name: str
     passed: bool
     detail: str = ""
+    skipped: bool = False       # verified nothing; then passed is False
 
 
 def all_passed(checks) -> bool:
-    return all(c.passed for c in checks)
+    """True when no item failed; skipped items do not fail."""
+    return all(c.passed or c.skipped for c in checks)
 
 
 def _require(holds: bool, message: str = "identity violated") -> None:
@@ -249,8 +252,10 @@ def run_verification(m: int, dmax: int = None, primes=(2, 3)) -> list:
 
 def _run(name, fn, m, dmax) -> CheckResult:
     try:
-        return CheckResult(name, True, fn(m, dmax))
+        detail = fn(m, dmax)
     except SizeGuardError as exc:
-        return CheckResult(name, True, f"skipped: {exc}")
+        detail = f"skipped: {exc}"
     except ArithmeticError as exc:
         return CheckResult(name, False, str(exc))
+    skipped = detail.startswith("skipped:")
+    return CheckResult(name, not skipped, detail, skipped)

@@ -138,6 +138,139 @@ def test_verify_text_report(capsys):
     assert "FAIL" not in out
 
 
+VERIFY_M1_D2_TEXT = """\
+[ok ] rank-1 counts: all four d = 1 counts equal (q-1)^m
+[ok ] rank-2 closed forms: single-generator degenerate values confirmed
+[ok ] semisimple decomposition: d = 2 count splits into irreducibles plus \
+sums of lines
+[ok ] exponential structure: both count series are Exp of their building \
+blocks to t^2
+[ok ] plethystic roundtrip: Exp and Log invert each other on the pipeline \
+series
+[ok ] power product formula: product over Adams twists matches \
+Pow(f, 1-q); counts positive
+[skip] connected tuple inversion: skipped: needs m >= 2
+[ok ] subgroup count routes: series route equals the recursive route for \
+n <= 8
+[skip] subgroup count limits: skipped: needs m >= 2
+[ok ] permutation census: exponential identities hold in the census up to \
+n = 4
+[skip] Euler characteristics: skipped: needs m >= 2
+[skip] quotient E-polynomials: skipped: needs m >= 2
+[ok ] integrality: all coefficients are integers (certified during \
+construction)
+[ok ] finite field oracle p=2: brute force agrees at d in [1, 2]
+[ok ] finite field oracle p=3: brute force agrees at d in [1, 2]
+11/15 checks passed, 4 skipped
+"""
+
+
+VERIFY_M1_D2_JSON = """\
+{
+  "m": 1,
+  "dmax": 2,
+  "primes": [
+    2,
+    3
+  ],
+  "checks": [
+    {
+      "name": "rank-1 counts",
+      "passed": true,
+      "detail": "all four d = 1 counts equal (q-1)^m"
+    },
+    {
+      "name": "rank-2 closed forms",
+      "passed": true,
+      "detail": "single-generator degenerate values confirmed"
+    },
+    {
+      "name": "semisimple decomposition",
+      "passed": true,
+      "detail": "d = 2 count splits into irreducibles plus sums of lines"
+    },
+    {
+      "name": "exponential structure",
+      "passed": true,
+      "detail": "both count series are Exp of their building blocks to t^2"
+    },
+    {
+      "name": "plethystic roundtrip",
+      "passed": true,
+      "detail": "Exp and Log invert each other on the pipeline series"
+    },
+    {
+      "name": "power product formula",
+      "passed": true,
+      "detail": "product over Adams twists matches Pow(f, 1-q); \
+counts positive"
+    },
+    {
+      "name": "connected tuple inversion",
+      "passed": false,
+      "skipped": true,
+      "detail": "skipped: needs m >= 2"
+    },
+    {
+      "name": "subgroup count routes",
+      "passed": true,
+      "detail": "series route equals the recursive route for n <= 8"
+    },
+    {
+      "name": "subgroup count limits",
+      "passed": false,
+      "skipped": true,
+      "detail": "skipped: needs m >= 2"
+    },
+    {
+      "name": "permutation census",
+      "passed": true,
+      "detail": "exponential identities hold in the census up to n = 4"
+    },
+    {
+      "name": "Euler characteristics",
+      "passed": false,
+      "skipped": true,
+      "detail": "skipped: needs m >= 2"
+    },
+    {
+      "name": "quotient E-polynomials",
+      "passed": false,
+      "skipped": true,
+      "detail": "skipped: needs m >= 2"
+    },
+    {
+      "name": "integrality",
+      "passed": true,
+      "detail": "all coefficients are integers (certified during \
+construction)"
+    },
+    {
+      "name": "finite field oracle p=2",
+      "passed": true,
+      "detail": "brute force agrees at d in [1, 2]"
+    },
+    {
+      "name": "finite field oracle p=3",
+      "passed": true,
+      "detail": "brute force agrees at d in [1, 2]"
+    }
+  ],
+  "all_passed": true
+}
+"""
+
+
+def test_verify_skips_are_not_passes(capsys):
+    code, out, err = run(capsys, "verify", "--m", "1", "--dmax", "2")
+    assert code == 0 and err == ""
+    assert out == VERIFY_M1_D2_TEXT
+    code, out, err = run(capsys, "verify", "--m", "1", "--dmax", "2",
+                         "--format", "json")
+    assert code == 0 and err == ""
+    assert out == VERIFY_M1_D2_JSON
+
+
 def test_subgroups_golden(capsys):
     code, out, _ = run(capsys, "subgroups", "--m", "2", "--nmax", "5")
     assert code == 0
@@ -175,6 +308,19 @@ def test_size_guard_exit_code(capsys):
     assert code == 4 and "error" in err
     code, _, err = run(capsys, "oracle", "--d", "2", "--p", "4", "--m", "2")
     assert code == 2
+
+
+def test_oracle_refusal_states_the_guarded_count(capsys):
+    # with one matrix the guard is on the |G|**2 conjugation table
+    code, out, err = run(capsys, "oracle", "--d", "2", "--p", "5", "--m", "1")
+    assert code == 4 and out == ""
+    assert err == "error: sweeping 480**2 tuples is too much\n"
+    code, _, err = run(capsys, "oracle", "--d", "2", "--p", "5", "--m", "2")
+    assert code == 4
+    assert err == "error: sweeping 480**2 tuples is too much\n"
+    code, _, err = run(capsys, "oracle", "--d", "2", "--p", "3", "--m", "4")
+    assert code == 4
+    assert err == "error: sweeping 48**4 tuples is too much\n"
 
 
 def test_output_file_and_determinism(tmp_path, capsys):

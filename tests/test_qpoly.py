@@ -1,4 +1,4 @@
-"""Exact polynomial and rational-function arithmetic."""
+"""Exact polynomial arithmetic, s-expansions and limits at q = 1."""
 
 import random
 from fractions import Fraction
@@ -7,9 +7,8 @@ import pytest
 
 from charvar import qpoly
 from charvar.qpoly import (
-    ExactDivisionError, PoleError, QPoly, QRatFun, ONE, ZERO,
-    adams_q, expand_in_s, from_s_coeffs, limit_at_1, poly_gcd, poly_str,
-    q, ratio,
+    ExactDivisionError, PoleError, QPoly, ONE, ZERO, expand_in_s, limit_at_1,
+    poly_str, q, ratio,
 )
 
 
@@ -68,6 +67,14 @@ def test_expand_in_s_examples():
     assert expand_in_s(ZERO) == []
 
 
+def from_s_coeffs(cs):
+    # reassemble sum c_k (q-1)^k by Horner's rule in s = q - 1
+    p = ZERO
+    for c in reversed(cs):
+        p = p * (q - 1) + c
+    return p
+
+
 def test_expand_in_s_roundtrip():
     rng = random.Random(23)
     for _ in range(60):
@@ -84,9 +91,9 @@ def test_expand_in_s_roundtrip():
 
 
 def test_adams_examples():
-    assert adams_q(q - 1, 2) == q ** 2 - 1
-    assert adams_q(q ** 2 + q, 3) == q ** 6 + q ** 3
-    assert adams_q((q - 1) ** 2, 2) == (q ** 2 - 1) ** 2
+    assert (q - 1).adams(2) == q ** 2 - 1
+    assert (q ** 2 + q).adams(3) == q ** 6 + q ** 3
+    assert ((q - 1) ** 2).adams(2) == (q ** 2 - 1) ** 2
 
 
 def test_adams_composes():
@@ -94,7 +101,7 @@ def test_adams_composes():
     for _ in range(40):
         p = rand_poly(rng, rng.randint(0, 6))
         a, b = rng.randint(1, 6), rng.randint(1, 6)
-        assert adams_q(adams_q(p, a), b) == adams_q(p, a * b)
+        assert p.adams(a).adams(b) == p.adams(a * b)
 
 
 def test_ratio_demotes_to_polynomial():
@@ -105,58 +112,70 @@ def test_ratio_demotes_to_polynomial():
     assert ratio(ZERO, q - 1) == ZERO
 
 
-def test_ratfun_canonical_form():
-    f = ratio(2 * q + 2, 2 * q - 4)          # (q+1)/(q-2)
-    assert isinstance(f, QRatFun)
-    assert f.den.leading == 1
-    assert poly_gcd(f.num, f.den) == ONE
-    assert f == ratio(q + 1, q - 2)
-
-
-def test_ratfun_equality_matches_cross_multiplication():
-    rng = random.Random(77)
-    for _ in range(40):
-        a = rand_poly(rng, rng.randint(0, 4))
-        b = rand_poly(rng, rng.randint(1, 4))
-        c = rand_poly(rng, rng.randint(0, 3))
-        if b.is_zero or c.is_zero:
-            continue
-        assert ratio(a * c, b * c) == ratio(a, b)
-        d = rand_poly(rng, rng.randint(0, 4))
-        e = rand_poly(rng, rng.randint(1, 4))
-        if e.is_zero:
-            continue
-        same = (a * e == d * b)
-        assert (ratio(a, b) == ratio(d, e)) == same
-
-
-def test_ratfun_field_ops():
-    f = ratio(ONE, q - 1)
-    assert f * (q - 1) == ONE
-    assert f + f == ratio(QPoly([2]), q - 1)
-    assert (f ** -1) == q - 1
-    g = ratio(q, q + 1)
-    assert f / g == ratio(q + 1, q * (q - 1))
-    assert 1 / (q - 1) == f
-
-
-def test_ratfun_evaluate_and_poles():
-    f = ratio(q + 1, q - 2)
-    assert f(3) == 4
-    assert f(0) == Fraction(-1, 2)
-    with pytest.raises(PoleError):
-        f(2)
-
-
 def test_limit_at_1():
-    assert limit_at_1((q ** 2 - 1) / (q - 1)) == 2
-    assert limit_at_1(q ** 3 * (q - 1) ** 2 / (q - 1) ** 2) == 1
+    assert limit_at_1(q ** 2 - 1, q - 1) == 2
+    assert limit_at_1(q ** 3 * (q - 1) ** 2, (q - 1) ** 2) == 1
     with pytest.raises(PoleError):
-        limit_at_1(ratio(q - 1, (q - 1) ** 2))
-    # equal (q-1)-valuations left after reduction
-    assert limit_at_1(ratio(q + 1, q + 2)) == Fraction(2, 3)
+        limit_at_1(q - 1, (q - 1) ** 2)
+    # equal (q-1)-valuations, no common factor
+    assert limit_at_1(q + 1, q + 2) == Fraction(2, 3)
     # numerator vanishes to higher order: limit is 0
-    assert limit_at_1(ratio((q - 1) ** 2 * (q + 1), (q - 1) * (q ** 2 + 1))) == 0
+    assert limit_at_1((q - 1) ** 2 * (q + 1), (q - 1) * (q ** 2 + 1)) == 0
+    assert limit_at_1(ZERO, q - 1) == 0
+    with pytest.raises(ZeroDivisionError):
+        limit_at_1(q, ZERO)
+
+
+def test_limit_at_1_reads_the_lowest_s_terms():
+    # num = s^a u, den = s^b v with s = q - 1 and u(1), v(1) nonzero
+    rng = random.Random(61)
+    for _ in range(60):
+        u, v = (rand_poly(rng, rng.randint(0, 5), frac=rng.random() < 0.3)
+                for _ in range(2))
+        if u(1) == 0 or v(1) == 0:
+            continue
+        a, b = rng.randint(0, 4), rng.randint(0, 4)
+        num, den = (q - 1) ** a * u, (q - 1) ** b * v
+        if a < b:
+            with pytest.raises(PoleError):
+                limit_at_1(num, den)
+        else:
+            assert limit_at_1(num, den) == (Fraction(u(1)) / v(1)
+                                            if a == b else 0)
+
+
+def test_division_is_exact_or_raises():
+    assert (q ** 2 - 1) / (q + 1) == q - 1
+    assert 2 / QPoly([4]) == QPoly([Fraction(1, 2)])
+    for num, den in ((ONE, q - 1), (q ** 2 + 1, q - 1)):
+        with pytest.raises(ExactDivisionError):
+            ratio(num, den)
+        with pytest.raises(ExactDivisionError):
+            num / den
+    with pytest.raises(ExactDivisionError):
+        1 / (q - 1)
+    with pytest.raises(ZeroDivisionError):
+        q / ZERO
+
+
+def test_dot_matches_the_pairwise_sum():
+    rng = random.Random(67)
+    t = qpoly._KRONECKER_MIN_TERMS
+    assert qpoly._dot([]) == ZERO
+    assert qpoly._dot([(ZERO, q), (q, ZERO)]) == ZERO
+    for _ in range(40):
+        pairs = []
+        for _ in range(rng.randint(1, 6)):
+            pair = [rand_poly(rng, rng.choice((0, 2, t + 3)),
+                              frac=rng.random() < 0.2) for _ in range(2)]
+            if rng.random() < 0.2:
+                pair[rng.randrange(2)] = ZERO
+            pairs.append(tuple(pair))
+        expected = ZERO
+        for a, b in pairs:
+            expected = expected + a * b
+        got = qpoly._dot(iter(pairs))
+        assert got == expected and got.coeffs == expected.coeffs
 
 
 def test_limit_at_1_on_polynomials():
@@ -171,14 +190,6 @@ def test_poly_str():
     assert poly_str(ZERO) == "0"
     assert poly_str(QPoly([0, Fraction(3, 2)])) == "3/2*q"
     assert poly_str(-q) == "-q"
-    assert str(ratio(ONE, q - 1)) == "(1)/(q - 1)"
-
-
-def test_adams_on_ratfun():
-    f = ratio(q + 1, q ** 2 + q - 1)
-    g = adams_q(f, 2)
-    assert g == ratio(q ** 2 + 1, q ** 4 + q ** 2 - 1)
-    assert g.den.leading == 1
 
 
 def reference_product(a, b):

@@ -1,11 +1,13 @@
 """Truncated power series over exact q-coefficients."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from charvar.qpoly import QPoly, QRatFun, ONE, ZERO, q
-from charvar.tseries import TSeries, adams_t, series_inverse, series_mul
+from charvar.arith import binom2
+from charvar.qpoly import ExactDivisionError, QPoly, ONE, ZERO, q, ratio
+from charvar.tseries import TSeries
 
 
 def rand_unit_series(rng, order, deg=3):
@@ -23,7 +25,7 @@ def geometric(order):
 def test_series_mul_basic():
     one_plus = TSeries(2, [1, 1])
     one_minus = TSeries(2, [1, -1])
-    assert series_mul(one_plus, one_minus) == TSeries(2, [1, 0, -1])
+    assert one_plus * one_minus == TSeries(2, [1, 0, -1])
     g = geometric(5)
     assert g * TSeries(5, [1, -1]) == TSeries.one(5)
 
@@ -36,8 +38,8 @@ def test_mul_truncates_to_smaller_order():
 
 
 def test_inverse_basic():
-    assert series_inverse(TSeries(5, [1, -1])) == geometric(5)
-    assert series_inverse(TSeries.one(4)) == TSeries.one(4)
+    assert TSeries(5, [1, -1]).inverse() == geometric(5)
+    assert TSeries.one(4).inverse() == TSeries.one(4)
     with pytest.raises(ValueError):
         TSeries(3, [q, 1]).inverse()
 
@@ -64,11 +66,11 @@ def test_inverse_of_q_factorial_like_series():
 
 
 def test_adams_t_examples():
-    assert adams_t(TSeries.from_terms(2, {1: q}), 2) == \
+    assert TSeries.from_terms(2, {1: q}).adams(2) == \
         TSeries.from_terms(2, {2: q ** 2})
-    assert adams_t(TSeries(6, [1, 1, 1]), 3) == \
+    assert TSeries(6, [1, 1, 1]).adams(3) == \
         TSeries.from_terms(6, {0: 1, 3: 1, 6: 1})
-    assert adams_t(TSeries.from_terms(2, {1: q - 1}), 2) == \
+    assert TSeries.from_terms(2, {1: q - 1}).adams(2) == \
         TSeries.from_terms(2, {2: q ** 2 - 1})
 
 
@@ -78,27 +80,40 @@ def test_adams_t_is_multiplicative():
         a = rand_unit_series(rng, 6)
         b = rand_unit_series(rng, 6)
         n = rng.randint(1, 3)
-        assert adams_t(a * b, n) == adams_t(a, n) * adams_t(b, n)
-        assert adams_t(a, 1) == a
+        assert (a * b).adams(n) == a.adams(n) * b.adams(n)
+        assert a.adams(1) == a
 
 
 def test_qpower_twist_examples():
     t2 = TSeries.from_terms(3, {2: 1})
-    assert t2.qpower_twist(2, -1) == TSeries.from_terms(3, {2: q})
+    assert t2.qpower_twist(2) == TSeries.from_terms(3, {2: q})
     t1 = TSeries.from_terms(3, {1: 1})
     for m in (1, 2, 5):
-        assert t1.qpower_twist(m, 1) == t1
-        assert t1.qpower_twist(m, -1) == t1
+        assert t1.qpower_twist(m) == t1
 
 
-def test_qpower_twist_roundtrip_through_ratfun():
+def test_qpower_twist_roundtrip_through_ratio():
     rng = random.Random(13)
     f = rand_unit_series(rng, 5)
-    up = f.qpower_twist(3, 1)
-    # the upward twist introduces genuine denominators
-    assert isinstance(up.coeff(2), QRatFun)
-    assert up.qpower_twist(3, -1) == f
-    assert f.qpower_twist(3, -1).qpower_twist(3, 1) == f
+    m = 3
+    twisted = f.qpower_twist(m)
+    # exact division by the twist's q-powers undoes it
+    assert TSeries(f.order, [ratio(c, q ** ((m - 1) * binom2(d)))
+                             for d, c in enumerate(twisted.coeffs)]) == f
+    # the opposite twist takes a constant t^2 coefficient to q^-(m-1),
+    # which is no polynomial
+    with pytest.raises(ExactDivisionError):
+        ratio(ONE, q ** (m - 1))
+
+
+def test_coefficients_are_polynomials():
+    f = TSeries(2, [1, Fraction(1, 2), q])
+    assert all(isinstance(c, QPoly) for c in f.coeffs)
+    for bad in (1.5, "q", TSeries.one(1)):
+        with pytest.raises(TypeError):
+            TSeries(2, [1, bad])
+        with pytest.raises(TypeError):
+            TSeries.from_terms(2, {1: bad})
 
 
 def test_coeff_and_truncate():

@@ -9,6 +9,8 @@ import pytest
 
 import charvar
 
+from charvar import verify
+from charvar.combinatorics import IdentityError, SizeGuardError
 from charvar.verify import (CheckResult, all_passed, rank_two_closed_forms,
                             run_verification)
 from charvar.qpoly import q
@@ -30,6 +32,8 @@ def test_suite_passes_for_three_generators():
     # so that oracle compared nothing and must say so
     (item,) = [c for c in checks if c.name == "finite field oracle p=101"]
     assert item.detail.startswith("skipped: size guard")
+    assert item.skipped and not item.passed
+    assert [c.name for c in checks if c.skipped] == [item.name]
 
 
 def test_single_generator_skips_quotient_items():
@@ -38,6 +42,27 @@ def test_single_generator_skips_quotient_items():
     skipped = {c.name for c in checks if c.detail.startswith("skipped")}
     assert "Euler characteristics" in skipped
     assert "quotient E-polynomials" in skipped
+    assert skipped == {c.name for c in checks if c.skipped}
+    assert not any(c.passed for c in checks if c.skipped)
+
+
+def test_run_maps_guards_and_skip_details_to_skip():
+    def guarded(m, dmax):
+        raise SizeGuardError("too large")
+
+    def broken(m, dmax):
+        raise IdentityError("identity violated")
+
+    assert verify._run("g", guarded, 2, 2) == CheckResult(
+        "g", False, "skipped: too large", skipped=True)
+    assert verify._run("s", lambda m, dmax: "skipped: needs m >= 2", 2, 2) \
+        == CheckResult("s", False, "skipped: needs m >= 2", skipped=True)
+    assert verify._run("b", broken, 2, 2) == CheckResult(
+        "b", False, "identity violated")
+    ok = verify._run("o", lambda m, dmax: "fine", 2, 2)
+    assert ok == CheckResult("o", True, "fine")
+    assert all_passed([ok, verify._run("g", guarded, 2, 2)])
+    assert not all_passed([ok, verify._run("b", broken, 2, 2)])
 
 
 def test_closed_forms_are_polynomials():
