@@ -35,7 +35,8 @@ from typing import Optional, Tuple
 
 from .plethystic import Log, Pow
 from .qpoly import (
-    QPoly, ONE, ZERO, _dot, _poly_str, _trusted, expand_in_s, poly_str, q,
+    QPoly, ONE, ZERO, _div_by_s_power, _dot, _poly_str, _trusted, expand_in_s,
+    poly_str, q,
 )
 from .tseries import TSeries
 
@@ -243,7 +244,7 @@ def e_polynomial(m: int, d: int, group: str = "GL", variant: str = "full",
     if group == "PGL":
         if m < 2:
             raise ValueError("PGL E-polynomials need m >= 2")
-        p = p.divexact((q - 1) ** m)
+        p = _div_by_s_power(p, m)
     return p
 
 

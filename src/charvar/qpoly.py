@@ -27,14 +27,21 @@ integer polynomials, so the int case is the fast path:
   coefficient, the two integers are multiplied once (CPython switches to
   Karatsuba for large operands), and the product is read back slot by
   slot.  Shorter int factors and every factor with a Fraction coefficient
-  use the schoolbook product.  Both give the same coefficients exactly.
+  use the schoolbook product.  Both give the same coefficients exactly;
+- the series kernels spend their time in sums of products, which _dot
+  forms as one packed Kronecker sum when every factor has int
+  coefficients: one slot width for the whole sum, each factor packed once
+  for it and the packing kept on the QPoly (only the last width's), the
+  packed products added as integers and the sum unpacked once.  A sum
+  with any Fraction coefficient multiplies pair by pair instead; that is
+  the one fallback.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from operator import add
+from operator import add, methodcaller
 from typing import Callable, Iterable, Union
 
 Scalar = Union[int, Fraction]
@@ -59,7 +66,7 @@ def _norm(c: Scalar) -> Scalar:
 
 def _all_int(cs) -> bool:
     # exact type: bool and other int subclasses take the normalising path
-    return all(type(c) is int for c in cs)
+    return set(map(type, cs)) <= {int}
 
 
 def _trusted(cs: list) -> "QPoly":
@@ -90,33 +97,53 @@ def _schoolbook_mul(a, b) -> list:
     return out
 
 
-def _kron_mul(a, b) -> list:
-    """Product coefficients of two nonempty int coefficient sequences.
+# Kronecker substitution.  An int polynomial c is packed as the integer
+# c(2^(8 width)): one slot of width bytes per coefficient.  If every
+# coefficient of a result lies strictly inside +-2^(8 width - 1) ("half"),
+# adding half to every slot makes all its slots nonnegative and below
+# 2^(8 width), so the slots are written and read as plain bytes, without
+# carries.  Packing is linear, so the packed product of two polynomials is
+# the product of their packings and a packed sum of products is the sum of
+# the packed products.
 
-    Each product coefficient is bounded by max|a| * max|b| * min(len), so
-    a slot of k bits with 2^(k-1) above that bound holds it with its sign.
-    Packing a factor as sum a_i 2^(k i) turns the polynomial product into
-    one integer product; adding 2^(k-1) to every slot of a packed factor
-    or of the product makes all its slots nonnegative, so they are written
-    and read as plain bytes, without carries.
-    """
-    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-    width = bound.bit_length() // 8 + 1          # bytes: 8 * width >= bits + 1
+
+def _slot_width(bound: int) -> int:
+    """Bytes per slot for coefficients of absolute value at most bound."""
+    return bound.bit_length() // 8 + 1          # 8 * width >= bits + 1
+
+
+def _offsets(width: int, n: int) -> int:
+    # half in each of n slots
+    return int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * n,
+                          "little")
+
+
+def _kron_pack(cs, width: int) -> int:
+    """sum c_i 2^(8 width i) over a sequence of ints inside +-half."""
     half = 1 << (8 * width - 1)
-    slot = half.to_bytes(width, "little")
-    n = len(a) + len(b) - 1
-    product = _kron_pack(a, width, half, slot) * _kron_pack(b, width, half, slot)
-    raw = (product + int.from_bytes(slot * n, "little")).to_bytes(
-        width * n, "little")
+    shifted = b"".join(map(methodcaller("to_bytes", width, "little"),
+                           map(half.__add__, cs)))
+    return int.from_bytes(shifted, "little") - _offsets(width, len(cs))
+
+
+def _kron_unpack(packed: int, width: int, n: int) -> list:
+    """The n coefficients inside +-half of a packed polynomial."""
+    half = 1 << (8 * width - 1)
+    raw = (packed + _offsets(width, n)).to_bytes(width * n, "little")
     return [int.from_bytes(raw[i:i + width], "little") - half
             for i in range(0, width * n, width)]
 
 
-def _kron_pack(cs, width: int, half: int, slot: bytes) -> int:
-    # sum c_i 2^(8 width i), written with every slot shifted up by half
-    shifted = b"".join((c + half).to_bytes(width, "little") for c in cs)
-    return (int.from_bytes(shifted, "little")
-            - int.from_bytes(slot * len(cs), "little"))
+def _kron_mul(a, b) -> list:
+    """Product coefficients of two nonempty int coefficient sequences.
+
+    Each product coefficient is bounded by max|a| * max|b| * min(len), so
+    slots of _slot_width(bound) bytes hold it with its sign.
+    """
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    width = _slot_width(bound)
+    return _kron_unpack(_kron_pack(a, width) * _kron_pack(b, width), width,
+                        len(a) + len(b) - 1)
 
 
 class QPoly:
@@ -134,7 +161,9 @@ class QPoly:
     'q^2 - 2*q + 1'
     """
 
-    __slots__ = ("coeffs",)
+    # _maxabs and _packing memoise the packed form of _dot; both are unset
+    # until the first _dot that reads them and never enter __eq__ or __hash__
+    __slots__ = ("coeffs", "_maxabs", "_packing")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = [c if type(c) is int else
@@ -329,23 +358,80 @@ ONE = QPoly((1,))
 q = QPoly((0, 1))
 
 
+def _max_abs(p: QPoly):
+    """max|c| over the coefficients of p when all are ints, else None."""
+    try:
+        return p._maxabs
+    except AttributeError:
+        cs = p.coeffs
+        bound = max(map(abs, cs), default=0) if _all_int(cs) else None
+        object.__setattr__(p, "_maxabs", bound)
+        return bound
+
+
+def _packed(p: QPoly, width: int):
+    """(v, P) with p = q^v r, r(0) != 0 and P = r packed in width-byte slots.
+
+    Only the packing for the last width asked for is kept.
+    """
+    memo = getattr(p, "_packing", None)
+    if memo is None or memo[0] != width:
+        cs = p.coeffs
+        v = 0
+        while not cs[v]:
+            v += 1
+        memo = (width, v, _kron_pack(cs[v:], width))
+        object.__setattr__(p, "_packing", memo)
+    return memo[1], memo[2]
+
+
 def _dot(pairs) -> QPoly:
     """Sum of a * b over the (a, b) pairs of QPolys with both factors nonzero.
 
     The one sum-of-products loop of the series kernels (series product and
-    inverse, the Log and Exp recurrences, the class-weight recurrence); the
-    partial sum is a plain coefficient list, normalised once at the end.
+    inverse, the Log and Exp recurrences, the class-weight recurrence, the
+    numerator of the q -> 1 limit).  When every factor has int
+    coefficients it is one packed Kronecker sum: the sum over the pairs
+    of max|a| max|b| min(len a, len b) bounds every coefficient of the
+    result, so one slot width serves all pairs; each factor is packed
+    once for that width (memoised on the QPoly, its leading zeros kept as
+    a shift applied after the multiply), the packed products are added as
+    integers, and the sum is unpacked once per coefficient.  If any factor
+    has a Fraction coefficient, the pairs are multiplied one by one and
+    added into a coefficient list, normalised once at the end.
 
     >>> _dot([(q, q), (ZERO, q), (ONE, q - 1)]) == q ** 2 + q - 1
     True
     """
+    pairs = [(a, b) for a, b in pairs if a.coeffs and b.coeffs]
+    bound = 0
+    for a, b in pairs:
+        ma, mb = _max_abs(a), _max_abs(b)
+        if ma is None or mb is None:
+            return _pairwise_dot(pairs)
+        bound += ma * mb * min(len(a.coeffs), len(b.coeffs))
+    if not pairs:
+        return ZERO
+    width = _slot_width(bound)
+    terms = []
+    for a, b in pairs:
+        va, pa = _packed(a, width)
+        vb, pb = _packed(b, width)
+        terms.append((va + vb, pa * pb))
+    low = min(v for v, _ in terms)
+    total = sum(prod << (8 * width * (v - low)) for v, prod in terms)
+    n = max(len(a.coeffs) + len(b.coeffs) for a, b in pairs) - 1 - low
+    return _trusted([0] * low + _kron_unpack(total, width, n))
+
+
+def _pairwise_dot(pairs) -> QPoly:
+    # _dot over nonzero pairs, one QPoly product at a time
     out = []
     for a, b in pairs:
-        if a.coeffs and b.coeffs:
-            cs = (a * b).coeffs
-            if len(out) < len(cs):
-                out.extend([0] * (len(cs) - len(out)))
-            out[:len(cs)] = map(add, out, cs)
+        cs = (a * b).coeffs
+        if len(out) < len(cs):
+            out.extend([0] * (len(cs) - len(out)))
+        out[:len(cs)] = map(add, out, cs)
     return QPoly(out)
 
 
@@ -397,6 +483,21 @@ def expand_in_s(p: QPoly) -> list:
     return out
 
 
+def _div_by_s_power(p: QPoly, k: int) -> QPoly:
+    """The exact quotient p / (q-1)^k; raises ExactDivisionError on a remainder.
+
+    k synthetic divisions by q - 1, each one running sum over the
+    coefficients from the top down, as in expand_in_s.
+
+    >>> _div_by_s_power(q ** 3 - q ** 2 - q + 1, 2) == q + 1
+    True
+    """
+    top_down = p.coeffs[::-1]
+    for _ in range(k):
+        top_down = list(accumulate(top_down))
+        if top_down and top_down.pop():
+            raise ExactDivisionError(f"({p}) is not divisible by (q - 1)^{k}")
+    return QPoly(top_down[::-1])
 
 
 def ratio(num: QPoly, den: QPoly = ONE) -> QPoly:

@@ -259,6 +259,122 @@ def test_product_path_selection(monkeypatch):
     assert all(type(c) is int for c in product.coeffs)
 
 
+def reference_dot(pairs):
+    # sum of reference_product over the pairs, on bare coefficient lists
+    out = []
+    for a, b in pairs:
+        if a.coeffs and b.coeffs:
+            cs = reference_product(a.coeffs, b.coeffs)
+            out.extend([0] * (len(cs) - len(out)))
+            for k, c in enumerate(cs):
+                out[k] += c
+    return QPoly(out)
+
+
+def assert_dot(pairs):
+    got, expected = qpoly._dot(iter(pairs)), reference_dot(pairs)
+    assert got.coeffs == expected.coeffs
+    assert [type(c) for c in got.coeffs] == [type(c) for c in expected.coeffs]
+    return got
+
+
+def test_packed_dot_matches_reference_on_random_pairs():
+    rng = random.Random(707)
+    lengths = (1, 2, 5, 15, 16, 17, 40, 120, 231)
+    for _ in range(30):
+        bits = rng.choice((1, 5, 30, 63, 64, 90))
+        pairs = []
+        for _ in range(rng.randint(1, 20)):
+            pair = [QPoly([0] * rng.choice((0, 0, 3, 50))
+                          + rand_int_coeffs(rng, rng.choice(lengths), bits))
+                    for _ in range(2)]
+            if rng.random() < 0.1:
+                pair[rng.randrange(2)] = ZERO
+            pairs.append(tuple(pair))
+        assert_dot(pairs)
+
+
+def test_packed_dot_at_slot_width_boundaries():
+    # bounds of 2^(8w-1) - 1 and 2^(8w-1), met by a coefficient of the sum,
+    # sit on both sides of the step from w-byte to (w+1)-byte slots
+    for w in (1, 2, 3, 8, 9):
+        edge = 1 << (8 * w - 1)
+        for target in (edge - 1, edge, edge + 1):
+            for sign in (1, -1):
+                n, x, y = 4, 3, (target // 24) or 1
+                rest = target - n * x * y
+                pairs = [(QPoly([sign * x] * n), QPoly([y] * n)),
+                         (QPoly([sign * rest]), q ** (n - 1))]
+                got = assert_dot(pairs)
+                assert got.coeffs[n - 1] == sign * target
+                assert_dot([(QPoly([sign * target]), ONE)])
+                assert_dot([(QPoly([sign * target] * 3), QPoly([-1] * 3))])
+
+
+def test_packed_dot_repacks_for_a_new_width():
+    # a QPoly packed for narrow slots, then wide ones, then narrow again;
+    # a packing reused across widths reads garbage
+    rng = random.Random(31)
+    shared = QPoly(rand_int_coeffs(rng, 30, 3))
+    small = QPoly(rand_int_coeffs(rng, 20, 2))
+    huge = QPoly(rand_int_coeffs(rng, 20, 200))
+    for partner in (small, huge, small, huge, huge):
+        assert_dot([(shared, partner)])
+        assert_dot([(partner, shared), (shared, small)])
+
+
+def test_dot_with_a_fraction_operand():
+    rng = random.Random(5)
+    ints = [QPoly(rand_int_coeffs(rng, rng.choice((1, 20, 60)), 40))
+            for _ in range(6)]
+    frac = QPoly([Fraction(1, 3), 0, Fraction(2, 3), 5])
+    got = assert_dot([(ints[0], ints[1]), (frac, ints[2]), (ints[3], ints[4])])
+    assert any(type(c) is Fraction for c in got.coeffs)
+    # Fractions that sum to integers come out as ints
+    got = assert_dot([(QPoly([Fraction(1, 2)]), QPoly([1, 1])),
+                      (QPoly([Fraction(1, 2)]), QPoly([1, 1]))])
+    assert got.coeffs == (1, 1) and all(type(c) is int for c in got.coeffs)
+
+
+def test_dot_of_zero_and_empty_input():
+    for pairs in ([], [(ZERO, ZERO)], [(ZERO, q), (q ** 40, ZERO)],
+                  [(q, q), (-q, q)], [(q - 1, q + 1), (ONE, 1 - q ** 2)]):
+        got = qpoly._dot(iter(pairs))
+        assert got == ZERO and got.coeffs == ()
+
+
+def test_packing_leaves_equality_and_hash_alone():
+    rng = random.Random(12)
+    polys = [QPoly(rand_int_coeffs(rng, n, 70)) for n in (1, 3, 40)]
+    polys.append(QPoly([0] * 9 + [2, -1]))
+    before = [(p.coeffs, hash(p)) for p in polys]
+    for p in polys:
+        qpoly._dot([(p, p), (p, q)])
+    for p, (coeffs, h) in zip(polys, before):
+        twin = QPoly(coeffs)
+        assert p.coeffs == coeffs and hash(p) == h == hash(twin)
+        assert p == twin and twin == p and {p: 1}[twin] == 1
+    assert hash(polys[0]) == hash(polys[0].constant)
+    with pytest.raises(AttributeError):
+        polys[0].coeffs = ()
+
+
+def test_division_by_powers_of_q_minus_1():
+    rng = random.Random(99)
+    for _ in range(30):
+        k = rng.randint(0, 6)
+        base = rand_poly(rng, rng.randint(0, 12), frac=rng.random() < 0.3)
+        power = (q - 1) ** k
+        multiple = base * power
+        got = qpoly._div_by_s_power(multiple, k)
+        assert got.coeffs == multiple.divexact(power).coeffs == base.coeffs
+    assert qpoly._div_by_s_power(ZERO, 3) == ZERO
+    for p, k in ((q ** 2 + 1, 1), (q ** 2 + 1, 3), ((q - 1) * (q + 2), 2),
+                 (ONE, 1)):
+        with pytest.raises(ExactDivisionError):
+            qpoly._div_by_s_power(p, k)
+
+
 def test_canonical_form_survives_fast_paths():
     stored = QPoly([Fraction(4, 2)]).coeffs
     assert stored == (2,) and type(stored[0]) is int

@@ -106,6 +106,19 @@ def test_qpower_twist_roundtrip_through_ratio():
         ratio(ONE, q ** (m - 1))
 
 
+def test_qpower_twist_is_a_shift():
+    # the twist shifts coefficient lists; Fractions and zeros keep their values
+    f = TSeries(4, [1, Fraction(1, 3), ZERO, QPoly([Fraction(-5, 2), 0, 7]),
+                    QPoly([0, 2])])
+    for m in (1, 2, 4):
+        twisted = f.qpower_twist(m)
+        assert twisted.coeffs == tuple(c * q ** ((m - 1) * binom2(d))
+                                       for d, c in enumerate(f.coeffs))
+        assert twisted.coeffs[2].coeffs == ()
+        assert [type(c) for c in twisted.coeffs[3].coeffs if c] == \
+            [Fraction, int]
+
+
 def test_coefficients_are_polynomials():
     f = TSeries(2, [1, Fraction(1, 2), q])
     assert all(isinstance(c, QPoly) for c in f.coeffs)
