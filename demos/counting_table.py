@@ -15,7 +15,7 @@ for row in table.rows:
     print(f"  absolutely irreducible  {poly_str(row.abs_irr)}")
     print(f"  absolutely indecomposable {poly_str(row.abs_ind)}")
     # the quotient E-polynomial divides out the (q-1)^m torus factor
-    pgl = e_polynomial(m, row.d, group="PGL", dmax=table.dmax)
+    pgl = e_polynomial(m, row.d, group="PGL")
     print(f"  E-polynomial of the quotient: {uv_str(pgl)}")
     print(f"  Euler characteristics: {row.chi_pgl} (full), "
           f"{row.chi_pgl_irr} (irreducible part)")

@@ -13,7 +13,7 @@ for m in (2, 3, 4):
     print(f"m = {m}:")
     print("   d | chi  phi(d)*d^(m-2) | chi_irr  mu(d)*d^(m-2)")
     for d in range(1, 9):
-        chi, chi_irr = euler_characteristics(m, d, dmax=8)
+        chi, chi_irr = euler_characteristics(m, d)
         expect = totient(d) * d ** (m - 2)
         expect_irr = mobius(d) * d ** (m - 2)
         mark = "ok" if (chi, chi_irr) == (expect, expect_irr) else "XX"

@@ -53,8 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="number of matrices per tuple")
     polys.add_argument("--dmax", type=int, default=None,
                        help="largest matrix size (default depends on m)")
-    polys.add_argument("--order", type=int, default=None,
-                       help="series truncation order (default dmax)")
     _add_output_flags(polys)
 
     verify = sub.add_parser("verify", help="run the consistency suite")
@@ -101,7 +99,7 @@ def _join(values) -> str:
 
 
 def cmd_polys(args) -> tuple:
-    table = build_table(args.m, dmax=args.dmax, order=args.order)
+    table = build_table(args.m, dmax=args.dmax)
     if args.format == "json":
         return json.dumps(table.to_json_dict(), indent=2) + "\n", EXIT_OK
     if args.format == "csv":
@@ -127,7 +125,7 @@ def cmd_polys(args) -> tuple:
         lines.append(f"  A_ind = {poly_str(row.abs_ind)}")
         lines.append(f"  M     = {poly_str(row.orbits)}")
         if table.m >= 2:
-            epoly = e_polynomial(table.m, row.d, group="PGL", dmax=table.dmax)
+            epoly = e_polynomial(table.m, row.d, group="PGL")
             lines.append(f"  E(PGL)        = {uv_str(epoly)}")
             lines.append(f"  chi(PGL)      = {row.chi_pgl}")
             lines.append(f"  chi(PGL irr)  = {row.chi_pgl_irr}")

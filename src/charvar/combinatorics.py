@@ -127,31 +127,6 @@ def connected_weight_series(m: int, order: int) -> TSeries:
     return TSeries(order, [ZERO] + [-inv.coeff(n) for n in range(1, order + 1)])
 
 
-def largest_invariant_prefix(tup: PermTuple, n: int) -> int:
-    """Largest k < n with {1..k} invariant under every entry; 0 if none."""
-    ks = _invariant_prefixes(tup, n)
-    return ks[-1] if ks else 0
-
-
-def block_decompose(tup: PermTuple, n: int):
-    """Split at the largest invariant initial segment.
-
-    Returns (k, head, tail): head is the restriction to {1..k} (an
-    arbitrary tuple in S_k^(m-1)), tail the relabeled restriction to the
-    complement, which is connected in S_(n-k)^(m-1).
-    """
-    k = largest_invariant_prefix(tup, n)
-    head = tuple(p[:k] for p in tup)
-    tail = tuple(tuple(p[i] - k for i in range(k, n)) for p in tup)
-    return k, head, tail
-
-
-def compose_blocks(head: PermTuple, tail: PermTuple) -> PermTuple:
-    """Inverse of block_decompose."""
-    k = len(head[0]) if head else 0
-    return tuple(hp + tuple(x + k for x in tp) for hp, tp in zip(head, tail))
-
-
 # -- subgroup counts -----------------------------------------------------------
 
 

@@ -10,15 +10,18 @@ generating series built here count, per dimension d:
     orbit_series    all conjugation orbits on m-tuples of invertible
                     matrices (coefficient M_d).
 
-The first two arise from the series with t^d-coefficient
-prod_{i<=d}(q^i-1)^(m-1) by series inversion, a triangular q-power twist,
-and a plethystic power or logarithm; the last two from the partition-indexed
-centralizer weights r_lambda by the same plethystic operations with
-exponent q-1.  All four have integer coefficients, which is enforced, not
-assumed.  Specializing q = uv gives E-polynomials of the corresponding
-complex character varieties; exact limits at q = 1 of the PGL_d
-E-polynomials give their Euler characteristics.  The semisimple counts are
-certified nonnegative in the basis of powers of s = q-1.
+The absolutely irreducible counts are (1-q) Log of the series with
+t^d-coefficient prod_{i<=d}(q^i-1)^(m-1), after series inversion and a
+triangular q-power twist; the absolutely indecomposable counts are (q-1)
+Log of the partition-indexed centralizer weights r_lambda.  A semisimple
+representation is a sum of absolutely irreducible ones and an orbit a sum
+of absolutely indecomposable ones, so A = Exp of the irreducible series
+and M = Exp of the indecomposable series.  All four have integer
+coefficients, which is enforced, not assumed.  Specializing q = uv gives
+E-polynomials of the corresponding complex character varieties; exact
+limits at q = 1 of the PGL_d E-polynomials give their Euler
+characteristics.  The semisimple counts are certified nonnegative in the
+basis of powers of s = q-1.
 
 The t^d-coefficient of each series does not depend on the truncation
 order, so each is built once per m: a call with a smaller order returns a
@@ -33,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache, wraps
 from typing import Optional, Tuple
 
-from .plethystic import Log, Pow
+from .plethystic import Exp, Log
 from .qpoly import (
     QPoly, ONE, ZERO, _div_by_s_power, _dot, _poly_str, _trusted, expand_in_s,
     poly_str, q,
@@ -89,17 +92,10 @@ def _twisted_inverse(m: int, order: int) -> TSeries:
 
 def _certified_integral(f: TSeries, what: str) -> TSeries:
     for d, c in enumerate(f.coeffs):
-        if not (isinstance(c, QPoly) and c.is_integral):
+        if not c.is_integral:
             raise IntegralityError(
                 f"{what}: coefficient of t^{d} is not an integer polynomial: {c}")
     return f
-
-
-@_one_series_per_m
-def rep_series(m: int, order: int) -> TSeries:
-    """Sum over d of A_d(q) t^d: semisimple representation counts."""
-    return _certified_integral(
-        Pow(_twisted_inverse(m, order), 1 - q), "semisimple counts")
 
 
 @_one_series_per_m
@@ -107,6 +103,12 @@ def abs_irr_series(m: int, order: int) -> TSeries:
     """Sum over d >= 1 of the absolutely irreducible counts times t^d."""
     return _certified_integral(
         Log(_twisted_inverse(m, order)) * (1 - q), "absolutely irreducible counts")
+
+
+@_one_series_per_m
+def rep_series(m: int, order: int) -> TSeries:
+    """Sum over d of A_d(q) t^d: semisimple representation counts."""
+    return _certified_integral(Exp(abs_irr_series(m, order)), "semisimple counts")
 
 
 def _part_factor(part: int, k: int) -> QPoly:
@@ -141,7 +143,7 @@ def class_weight_series(m: int, order: int) -> TSeries:
     """Sum over partitions of r_lambda^(m-1) t^(size of lambda).
 
     The t^d-coefficient is the number of conjugacy-class-tuples weighted by
-    centralizer orders; feeding it to Pow(. , q-1) counts all conjugation
+    centralizer orders; (q-1) Log of it counts the absolutely indecomposable
     orbits on m-tuples of invertible d x d matrices.  This is the Hua-type
     sum of J.-Y. Hua, Counting representations of quivers over finite
     fields, J. Algebra 226 (2000).
@@ -189,18 +191,17 @@ def class_weight_series(m: int, order: int) -> TSeries:
 
 
 @_one_series_per_m
-def orbit_series(m: int, order: int) -> TSeries:
-    """Sum over d of M_d(q) t^d: all conjugation orbits on m-tuples."""
-    return _certified_integral(
-        Pow(class_weight_series(m, order), q - 1), "orbit counts")
-
-
-@_one_series_per_m
 def abs_ind_series(m: int, order: int) -> TSeries:
     """Sum over d >= 1 of the absolutely indecomposable counts times t^d."""
     return _certified_integral(
         Log(class_weight_series(m, order)) * (q - 1),
         "absolutely indecomposable counts")
+
+
+@_one_series_per_m
+def orbit_series(m: int, order: int) -> TSeries:
+    """Sum over d of M_d(q) t^d: all conjugation orbits on m-tuples."""
+    return _certified_integral(Exp(abs_ind_series(m, order)), "orbit counts")
 
 
 def rep_counts(m: int, dmax: int) -> list:
@@ -223,8 +224,8 @@ def orbit_counts(m: int, dmax: int) -> list:
 # -- E-polynomials and Euler characteristics ---------------------------------
 
 
-def e_polynomial(m: int, d: int, group: str = "GL", variant: str = "full",
-                 dmax: int = None) -> QPoly:
+def e_polynomial(m: int, d: int, group: str = "GL",
+                 variant: str = "full") -> QPoly:
     """E-polynomial of the character variety, in the product variable uv.
 
     The counting polynomials depend on u, v only through uv, so the result
@@ -238,8 +239,7 @@ def e_polynomial(m: int, d: int, group: str = "GL", variant: str = "full",
         raise ValueError(f"unknown group {group!r}")
     if variant not in ("full", "irr"):
         raise ValueError(f"unknown variant {variant!r}")
-    order = dmax if dmax is not None else d
-    series = rep_series(m, order) if variant == "full" else abs_irr_series(m, order)
+    series = rep_series(m, d) if variant == "full" else abs_irr_series(m, d)
     p = series.coeff(d)
     if group == "PGL":
         if m < 2:
@@ -257,7 +257,7 @@ def uv_str(p: QPoly) -> str:
     return _poly_str(p, lambda k: "u*v" if k == 1 else f"u^{k}*v^{k}")
 
 
-def euler_characteristics(m: int, d: int, dmax: int = None):
+def euler_characteristics(m: int, d: int):
     """(chi, chi_irr) of the PGL_d character varieties, m >= 2.
 
     The q -> 1 limits of A_d/(q-1)^m and of the absolutely irreducible
@@ -266,16 +266,20 @@ def euler_characteristics(m: int, d: int, dmax: int = None):
     """
     if m < 2:
         raise ValueError("Euler characteristics need m >= 2")
-    return tuple(e_polynomial(m, d, "PGL", variant, dmax).evaluate(1)
+    return tuple(e_polynomial(m, d, "PGL", variant).evaluate(1)
                  for variant in ("full", "irr"))
 
 
 # -- positivity certification -------------------------------------------------
 
 
+def _nonnegative_ints(coeffs) -> bool:
+    return all(isinstance(c, int) and c >= 0 for c in coeffs)
+
+
 def s_positive(p: QPoly) -> bool:
     """True when p lies in N[q-1]: nonnegative integers in the s-basis."""
-    return all(isinstance(c, int) and c >= 0 for c in expand_in_s(p))
+    return _nonnegative_ints(expand_in_s(p))
 
 
 @dataclass(frozen=True)
@@ -297,9 +301,8 @@ def positivity_report(m: int, dmax: int) -> PositivityReport:
     reps = rep_counts(m, dmax)
     rows = []
     for d in range(1, dmax + 1):
-        cs = expand_in_s(reps[d])
-        ok = all(isinstance(c, int) and c >= 0 for c in cs)
-        rows.append((d, tuple(cs), ok))
+        cs = tuple(expand_in_s(reps[d]))
+        rows.append((d, cs, _nonnegative_ints(cs)))
     witness = None
     for d, p in enumerate(abs_irr_counts(m, dmax)):
         if d == 0:
@@ -356,25 +359,21 @@ class CharVarTable:
         }
 
 
-def build_table(m: int, dmax: int = None, order: int = None) -> CharVarTable:
+def build_table(m: int, dmax: int = None) -> CharVarTable:
     """Full table for d = 1..dmax; coefficient lists are the JSON contract."""
     _check_m(m)
     if dmax is None:
         dmax = default_dmax(m)
-    if order is None:
-        order = dmax
-    if order < dmax:
-        raise ValueError("truncation order must cover dmax")
-    reps = rep_series(m, order)
-    irrs = abs_irr_series(m, order)
-    inds = abs_ind_series(m, order)
-    orbs = orbit_series(m, order)
+    reps = rep_series(m, dmax)
+    irrs = abs_irr_series(m, dmax)
+    inds = abs_ind_series(m, dmax)
+    orbs = orbit_series(m, dmax)
     rows = []
     for d in range(1, dmax + 1):
         a = reps.coeff(d)
         cs = tuple(expand_in_s(a))
         if m >= 2:
-            chi, chi_irr = euler_characteristics(m, d, dmax=order)
+            chi, chi_irr = euler_characteristics(m, d)
         else:
             chi = chi_irr = None
         rows.append(TableRow(
@@ -386,7 +385,7 @@ def build_table(m: int, dmax: int = None, order: int = None) -> CharVarTable:
             chi_pgl=chi,
             chi_pgl_irr=chi_irr,
             s_coeffs=cs,
-            positive=all(isinstance(c, int) and c >= 0 for c in cs),
+            positive=_nonnegative_ints(cs),
         ))
     return CharVarTable(m=m, dmax=dmax, rows=tuple(rows))
 

@@ -176,10 +176,6 @@ class QPoly:
     def __setattr__(self, name, value):
         raise AttributeError("QPoly is immutable")
 
-    @staticmethod
-    def const(c: Scalar) -> "QPoly":
-        return QPoly((c,))
-
     # -- structure ---------------------------------------------------------
 
     @property

@@ -21,9 +21,9 @@ from .combinatorics import (
     subgroup_counts,
 )
 from .counting import (
-    abs_ind_counts, abs_ind_series, abs_irr_counts, abs_irr_series,
+    abs_ind_counts, abs_ind_series, abs_irr_counts, class_weight_series,
     default_dmax, e_polynomial, euler_characteristics, orbit_counts,
-    orbit_series, rep_counts, rep_series, s_positive,
+    orbit_series, qpochhammer_series, rep_counts, rep_series, s_positive,
 )
 from .fforacle import orbit_census
 from .plethystic import Exp, Log, irreducible_poly_count, pow_product, Pow
@@ -108,9 +108,13 @@ def _check_semisimple_split(m, dmax):
 
 
 def _check_exp_structure(m, dmax):
+    # the pipeline builds A and M as Exp of the irreducible and
+    # indecomposable series; rebuild both as plethystic powers of the
+    # defining series and compare
     order = dmax
-    _require(rep_series(m, order) == Exp(abs_irr_series(m, order)))
-    _require(orbit_series(m, order) == Exp(abs_ind_series(m, order)))
+    twisted = qpochhammer_series(m, order).inverse().qpower_twist(m)
+    _require(rep_series(m, order) == Pow(twisted, 1 - q))
+    _require(orbit_series(m, order) == Pow(class_weight_series(m, order), q - 1))
     return f"both count series are Exp of their building blocks to t^{order}"
 
 

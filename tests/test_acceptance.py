@@ -87,7 +87,7 @@ def test_criterion_03_positivity():
 def test_criterion_04_euler_characteristics():
     for m in range(2, 5):
         for d in range(1, 9):
-            chi, chi_irr = euler_characteristics(m, d, dmax=8)
+            chi, chi_irr = euler_characteristics(m, d)
             assert chi == totient(d) * d ** (m - 2), (m, d)
             assert chi_irr == mobius(d) * d ** (m - 2), (m, d)
     print("PASS criterion 4: Euler characteristics match the arithmetic "

@@ -1,10 +1,16 @@
 """Command line interface: formats, exit codes, golden values."""
 
+import hashlib
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
 from charvar.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # exit codes under test: 0 ok, 2 usage, 3 identity failure, 4 size guard
 
@@ -115,6 +121,10 @@ def test_usage_errors(capsys):
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
+    assert exc.value.code == 2
+    # the coefficient of t^d does not depend on a truncation order
+    with pytest.raises(SystemExit) as exc:
+        main(["polys", "--m", "2", "--order", "3"])
     assert exc.value.code == 2
 
 
@@ -332,3 +342,19 @@ def test_output_file_and_determinism(tmp_path, capsys):
     code, second, _ = run(capsys, "polys", "--m", "3", "--dmax", "2",
                           "--format", "json")
     assert first == second
+
+
+def test_polys_json_matches_benchmark_digests(capsys, monkeypatch):
+    # the benchmark pins these two tables byte for byte; check them here too
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses resolve their annotations through sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    for label, (m, dmax) in (("polys-deep", (2, 20)), ("polys-wide", (8, 12))):
+        code, out, err = run(capsys, "polys", "--m", str(m), "--dmax",
+                             str(dmax), "--format", "json")
+        assert code == 0 and err == ""
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == workloads.POLYS_DIGESTS[label], label

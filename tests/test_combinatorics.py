@@ -6,13 +6,36 @@ from math import factorial
 import pytest
 
 from charvar.combinatorics import (
-    CensusRow, SizeGuardError, block_decompose, census_series_checks,
-    compose_blocks, connected_tuples, connected_weight_poly,
-    connected_weight_series, hall_subgroup_counts, inversions, is_connected,
-    largest_invariant_prefix, length_gen_poly, limit_transform,
-    perm_rep_census, q_factorial, q_int, subgroup_counts,
+    CensusRow, SizeGuardError, _invariant_prefixes, census_series_checks,
+    connected_tuples, connected_weight_poly, connected_weight_series,
+    hall_subgroup_counts, inversions, is_connected, length_gen_poly,
+    limit_transform, perm_rep_census, q_factorial, q_int, subgroup_counts,
 )
 from charvar.qpoly import ONE, q
+
+
+def largest_invariant_prefix(tup, n):
+    """Largest k < n with {1..k} invariant under every entry; 0 if none."""
+    ks = _invariant_prefixes(tup, n)
+    return ks[-1] if ks else 0
+
+
+def block_decompose(tup, n):
+    """(k, head, tail): split at the largest invariant initial segment.
+
+    head is the restriction to {1..k}, tail the relabeled restriction to
+    the complement, which is connected in S_(n-k)^(m-1).
+    """
+    k = largest_invariant_prefix(tup, n)
+    head = tuple(p[:k] for p in tup)
+    tail = tuple(tuple(p[i] - k for i in range(k, n)) for p in tup)
+    return k, head, tail
+
+
+def compose_blocks(head, tail):
+    """Inverse of block_decompose."""
+    k = len(head[0]) if head else 0
+    return tuple(hp + tuple(x + k for x in tp) for hp, tp in zip(head, tail))
 
 
 def test_inversions():

@@ -195,9 +195,10 @@ def test_uv_str():
 def test_euler_characteristics_small():
     assert euler_characteristics(2, 1) == (1, 1)
     assert euler_characteristics(2, 2) == (1, -1)
+    assert euler_characteristics(2, 5) == (4, -1)
     for m in (2, 3):
         for d in range(1, 5):
-            chi, chi_irr = euler_characteristics(m, d, dmax=4)
+            chi, chi_irr = euler_characteristics(m, d)
             assert chi == totient(d) * d ** (m - 2)
             assert chi_irr == mobius(d) * d ** (m - 2)
     with pytest.raises(ValueError):
@@ -211,7 +212,7 @@ def test_euler_characteristics_are_limits_at_one():
             expected = tuple(
                 limit_at_1(series.coeff(d), (q - 1) ** m)
                 for series in (reps, irrs))
-            assert euler_characteristics(m, d, dmax=8) == expected, (m, d)
+            assert euler_characteristics(m, d) == expected, (m, d)
 
 
 def test_smaller_order_is_a_truncation_of_the_longest_series():
@@ -234,6 +235,28 @@ def test_smaller_order_is_a_truncation_of_the_longest_series():
             assert shallow.order == 3
             assert shallow.coeffs == deep.coeffs[:4]
             assert str(shallow) == next(fresh)
+
+
+def test_build_table_takes_one_log_per_building_block():
+    # A and M are Exp of the irreducible and indecomposable series, so a
+    # table needs the Log of the twisted inverse and of the class weights
+    # only; a fresh interpreter counts the Log recurrences from scratch
+    script = ("from charvar import plethystic\n"
+              "from charvar.counting import build_table\n"
+              "real, calls = plethystic._log_numerators, []\n"
+              "def counted(*args):\n"
+              "    calls.append(args[1])\n"
+              "    return real(*args)\n"
+              "plethystic._log_numerators = counted\n"
+              "build_table(3, 6)\n"
+              "print(calls)\n")
+    src = str(Path(charvar.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    assert done.stdout == "['Log', 'Log']\n"
 
 
 def test_positivity_rank2_m2():
@@ -283,5 +306,3 @@ def test_default_dmax():
 def test_build_table_guards():
     with pytest.raises(ValueError):
         build_table(0, 2)
-    with pytest.raises(ValueError):
-        build_table(2, 4, order=3)

@@ -14,6 +14,7 @@ from charvar.combinatorics import IdentityError, SizeGuardError
 from charvar.verify import (CheckResult, all_passed, rank_two_closed_forms,
                             run_verification)
 from charvar.qpoly import q
+from charvar.tseries import TSeries
 
 
 def test_suite_passes_for_two_generators():
@@ -106,3 +107,21 @@ def test_wrong_count_fails_under_optimize():
         "['rank-2 closed forms', 'semisimple decomposition']\n")
     assert runs[1].returncode == 3, runs[1].stderr
     assert "[FAIL] rank-2 closed forms: identity violated" in runs[1].stdout
+
+
+@pytest.mark.parametrize("name", ["rep_series", "orbit_series"])
+def test_exp_structure_fails_on_a_perturbed_series(monkeypatch, name):
+    # the item compares the Exp-built pipeline with the Pow route from the
+    # definitions; one coefficient off by one must make it fail
+    real = getattr(verify, name)
+
+    def perturbed(m, order):
+        coeffs = real(m, order).coeffs
+        return TSeries(order, [c + 1 if d == 2 else c
+                               for d, c in enumerate(coeffs)])
+
+    monkeypatch.setattr(verify, name, perturbed)
+    checks = run_verification(2, dmax=3, primes=())
+    (item,) = [c for c in checks if c.name == "exponential structure"]
+    assert not item.passed and not item.skipped
+    assert item.detail == "identity violated"
