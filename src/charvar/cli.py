@@ -5,8 +5,9 @@ the internal consistency suite, `subgroups` prints free-group subgroup
 counts, `permstats` lists connected permutation tuples with their
 inversion weights, and `oracle` runs the finite-field brute force.
 
-Exit codes: 0 success, 2 usage error, 3 verification, integrality or
-brute-force identity failure, 4 size guard.  Output is deterministic for
+Exit codes: 0 success, 2 usage error (an --output path that cannot be
+written counts as one), 3 verification, integrality or brute-force
+identity failure, 4 size guard.  Output is deterministic for
 a fixed command line, and JSON output re-serializes to the same bytes
 after parsing.
 """
@@ -250,8 +251,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.output}: {exc.strerror}",
+                  file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(text)
     return code

@@ -19,11 +19,10 @@ Three strands, all exact:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, NamedTuple, Tuple
 
 from .arith import divisors
 from .counting import abs_irr_counts
@@ -138,6 +137,8 @@ def subgroup_counts(m: int, nmax: int) -> List[int]:
     """
     if m < 1:
         raise ValueError("m >= 1 required")
+    if nmax < 0:
+        raise ValueError("need nmax >= 0")
     g = TSeries(nmax, [factorial(n) ** (m - 1) for n in range(nmax + 1)])
     lg = series_log(g)
     out = []
@@ -212,8 +213,7 @@ def _is_transitive(tup: PermTuple, n: int) -> bool:
     return len(seen) == n
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(NamedTuple):
     n: int
     m: int
     total: int               # all tuples: (n!)^m

@@ -31,10 +31,9 @@ the series again at that order and keeps it in place of the old one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, wraps
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .plethystic import Exp, Log
 from .qpoly import (
@@ -282,8 +281,7 @@ def s_positive(p: QPoly) -> bool:
     return _nonnegative_ints(expand_in_s(p))
 
 
-@dataclass(frozen=True)
-class PositivityReport:
+class PositivityReport(NamedTuple):
     m: int
     dmax: int
     rows: tuple                 # (d, s_coeffs tuple, positive bool)
@@ -319,8 +317,7 @@ def positivity_report(m: int, dmax: int) -> PositivityReport:
 # -- assembled tables ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     d: int
     rep_count: QPoly            # A_d
     abs_irr: QPoly              # absolutely irreducible count
@@ -332,8 +329,7 @@ class TableRow:
     positive: bool
 
 
-@dataclass(frozen=True)
-class CharVarTable:
+class CharVarTable(NamedTuple):
     m: int
     dmax: int
     rows: tuple
@@ -364,6 +360,8 @@ def build_table(m: int, dmax: int = None) -> CharVarTable:
     _check_m(m)
     if dmax is None:
         dmax = default_dmax(m)
+    if dmax < 0:
+        raise ValueError("need dmax >= 0")
     reps = rep_series(m, dmax)
     irrs = abs_irr_series(m, dmax)
     inds = abs_ind_series(m, dmax)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import factorize, is_prime
 from .combinatorics import IdentityError, SizeGuardError
@@ -195,8 +195,7 @@ def _classes(conj: list) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class ConjClass:
+class ConjClass(NamedTuple):
     rep: tuple
     size: int
     centralizer_order: int
@@ -398,8 +397,7 @@ def _extend_span(span: list, mats: tuple, y: tuple, d: int, p: int) -> list:
     return span
 
 
-@dataclass(frozen=True)
-class OracleCensus:
+class OracleCensus(NamedTuple):
     d: int
     p: int
     m: int

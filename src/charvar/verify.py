@@ -10,9 +10,9 @@ neither as passed nor as failed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 from .arith import divisors, mobius, totient
 from .combinatorics import (
@@ -36,8 +36,7 @@ __all__ = ["CheckResult", "all_passed", "rank_two_closed_forms",
 _HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""

@@ -3,11 +3,14 @@
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import charvar
 from charvar.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -113,9 +116,25 @@ def test_polys_m_one_has_null_chi(capsys):
     assert doc["rows"][1]["A"] == ["0", "-1", "1"]
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, tmp_path):
     code, _, err = run(capsys, "polys", "--m", "0")
     assert code == 2 and "error" in err
+    # a negative depth names its flag; depth 0 is an empty table
+    assert run(capsys, "polys", "--m", "2", "--dmax", "-1") == (
+        2, "", "error: need dmax >= 0\n")
+    assert run(capsys, "subgroups", "--m", "2", "--nmax", "-1") == (
+        2, "", "error: need nmax >= 0\n")
+    assert run(capsys, "polys", "--m", "2", "--dmax", "0") == (
+        0, "counting polynomials for m = 2, d <= 0\n", "")
+    # an --output path that cannot be written is a usage error
+    missing = tmp_path / "missing" / "table.json"
+    assert run(capsys, "polys", "--m", "2", "--dmax", "1",
+               "--output", str(missing)) == (
+        2, "", f"error: cannot write {missing}: No such file or directory\n")
+    code, out, err = run(capsys, "polys", "--m", "2", "--dmax", "1",
+                         "--output", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {tmp_path}: ")
     with pytest.raises(SystemExit) as exc:
         main(["polys"])
     assert exc.value.code == 2
@@ -358,3 +377,23 @@ def test_polys_json_matches_benchmark_digests(capsys, monkeypatch):
         assert code == 0 and err == ""
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert digest == workloads.POLYS_DIGESTS[label], label
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # every command is a cold process that pays for what charvar.cli
+    # imports; only modules beyond a bare interpreter's count, so what
+    # site loads at start-up does not
+    src = str(Path(charvar.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def loaded(statement):
+        done = subprocess.run(
+            [sys.executable, "-c",
+             statement + "\nimport sys\nprint(*sys.modules, sep='\\n')"],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+            text=True, timeout=60, check=True)
+        return set(done.stdout.split())
+
+    added = loaded("import charvar.cli") - loaded("pass")
+    assert "charvar.cli" in added
+    assert not added & {"dataclasses", "inspect"}

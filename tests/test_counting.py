@@ -11,7 +11,7 @@ import pytest
 import charvar
 
 from charvar.arith import mobius, partitions, totient
-from charvar.plethystic import Exp
+from charvar.plethystic import Pow
 from charvar.qpoly import (
     QPoly, ONE, expand_in_s, limit_at_1, q,
 )
@@ -23,6 +23,7 @@ from charvar.counting import (
     qpochhammer_series, rep_counts, rep_series, s_positive, uv_str,
 )
 from charvar.tseries import TSeries
+from charvar.verify import rank_two_closed_forms
 
 
 def rank2_abs_irr_closed_form(m):
@@ -145,9 +146,16 @@ def test_integrality_certification_sees_fractions():
 
 
 def test_exp_relations():
+    # A and M are built as Exp of the building blocks; compare them with
+    # routes that never read those blocks: Pow of the defining series, and
+    # the directly built rank-2 formulas
     for m in (2, 3):
-        assert rep_series(m, 5) == Exp(abs_irr_series(m, 5))
-        assert orbit_series(m, 5) == Exp(abs_ind_series(m, 5))
+        twisted = qpochhammer_series(m, 5).inverse().qpower_twist(m)
+        assert rep_series(m, 5) == Pow(twisted, 1 - q)
+        assert orbit_series(m, 5) == Pow(class_weight_series(m, 5), q - 1)
+        forms = rank_two_closed_forms(m)
+        assert abs_irr_series(m, 5).coeff(2) == forms["irr2"]
+        assert rep_series(m, 5).coeff(2) == forms["full2"]
 
 
 def test_rank1_free_abelian_case():

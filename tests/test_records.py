@@ -1,0 +1,105 @@
+"""The result records: immutable, keyword-built, compared by value."""
+
+import hashlib
+import json
+from fractions import Fraction
+
+import pytest
+
+from charvar.combinatorics import CensusRow
+from charvar.counting import (CharVarTable, PositivityReport, TableRow,
+                              build_table, positivity_report)
+from charvar.fforacle import ConjClass, OracleCensus
+from charvar.qpoly import q
+from charvar.verify import CheckResult
+
+
+ROW_FIELDS = dict(d=1, rep_count=(q - 1) ** 2, abs_irr=(q - 1) ** 2,
+                  abs_ind=(q - 1) ** 2, orbits=(q - 1) ** 2,
+                  chi_pgl=Fraction(1), chi_pgl_irr=Fraction(-1, 2),
+                  s_coeffs=(0, 0, 1), positive=True)
+
+
+def sample_row():
+    return TableRow(**ROW_FIELDS)
+
+
+RECORDS = [
+    (CensusRow, dict(n=2, m=2, total=4, orbit_count=4, transitive_count=3,
+                     aut_weight=Fraction(3, 2), aut_weight_all=Fraction(2))),
+    (PositivityReport, dict(m=2, dmax=1, rows=((1, (0, 0, 1), True),),
+                            irr_witness=None)),
+    (TableRow, ROW_FIELDS),
+    (CharVarTable, dict(m=2, dmax=1, rows=(sample_row(),))),
+    (ConjClass, dict(rep=(1,), size=1, centralizer_order=2)),
+    (OracleCensus, dict(d=1, p=3, m=2, group_order=2, orbits=4, abs_irr=4,
+                        abs_ind=4)),
+    (CheckResult, dict(name="rank-1 counts", passed=True, detail="ok",
+                       skipped=False)),
+]
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS,
+                         ids=[cls.__name__ for cls, _ in RECORDS])
+def test_record_contract(cls, fields):
+    record = cls(**fields)
+    for name, value in fields.items():
+        assert getattr(record, name) == value
+    twin = cls(**fields)
+    assert record == twin and hash(record) == hash(twin)
+    name = next(iter(fields))
+    assert record != cls(**{**fields, name: "other"})
+    with pytest.raises(AttributeError):
+        setattr(record, name, "other")
+    assert getattr(record, name) == fields[name]
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS,
+                         ids=[cls.__name__ for cls, _ in RECORDS])
+def test_records_are_tuples(cls, fields):
+    record = cls(**fields)
+    values = tuple(fields.values())
+    assert tuple(record) == values and record == values
+    assert record[0] == values[0] and len(record) == len(fields)
+    assert record._asdict() == fields
+    name = next(iter(fields))
+    assert record._replace(**{name: "other"}) == ("other",) + values[1:]
+
+
+def test_check_result_defaults():
+    check = CheckResult(name="integrality", passed=False)
+    assert check.detail == "" and check.skipped is False
+    assert check == CheckResult(name="integrality", passed=False, detail="",
+                                skipped=False)
+
+
+def test_record_repr():
+    row = CensusRow(n=2, m=2, total=4, orbit_count=4, transitive_count=3,
+                    aut_weight=Fraction(3, 2), aut_weight_all=Fraction(2))
+    assert repr(row) == ("CensusRow(n=2, m=2, total=4, orbit_count=4, "
+                         "transitive_count=3, aut_weight=Fraction(3, 2), "
+                         "aut_weight_all=Fraction(2, 1))")
+
+
+def test_all_positive():
+    assert positivity_report(1, 4).all_positive
+    report = positivity_report(2, 5)
+    assert report.all_positive and report.irr_witness == (2, 2, -1)
+    assert positivity_report(3, 4).irr_witness == (2, 3, -2)
+    mixed = PositivityReport(m=2, dmax=2, irr_witness=None,
+                             rows=((1, (0, 0, 1), True), (2, (1, -1), False)))
+    assert not mixed.all_positive
+
+
+def test_to_json_dict_bytes():
+    table = CharVarTable(m=2, dmax=1, rows=(sample_row(),))
+    assert table.to_json_dict() == {"m": 2, "rows": [{
+        "d": 1, "A": ["1", "-2", "1"], "A_irr": ["1", "-2", "1"],
+        "A_ind": ["1", "-2", "1"], "M": ["1", "-2", "1"], "chi_pgl": "1",
+        "chi_pgl_irr": "-1/2", "s_coeffs_A": ["0", "0", "1"],
+        "positive": True}]}
+    text = json.dumps(build_table(2, 3).to_json_dict(), indent=2) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "1ed8177477c58df06175723d69ae4f5bce63812500f012d9c34bab0768c38dd3")
+    empty = CharVarTable(m=1, dmax=0, rows=())
+    assert empty.to_json_dict() == {"m": 1, "rows": []}
