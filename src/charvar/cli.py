@@ -138,7 +138,11 @@ def cmd_polys(args) -> tuple:
 
 
 def cmd_verify(args) -> tuple:
-    primes = tuple(int(p) for p in args.primes.split(",") if p.strip())
+    try:
+        primes = tuple(int(p) for p in args.primes.split(",") if p.strip())
+    except ValueError:
+        raise ValueError("--primes takes comma-separated integers, "
+                         f"got {args.primes!r}") from None
     checks = run_verification(args.m, dmax=args.dmax, primes=primes)
     ok = all_passed(checks)
     code = EXIT_OK if ok else EXIT_VERIFY

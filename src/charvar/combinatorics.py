@@ -154,6 +154,10 @@ def subgroup_counts(m: int, nmax: int) -> List[int]:
 def hall_subgroup_counts(m: int, nmax: int) -> List[int]:
     """Same numbers by the classical recursion
     J_n = n (n!)^(m-1) - sum_{k<n} ((n-k)!)^(m-1) J_k."""
+    if m < 1:
+        raise ValueError("m >= 1 required")
+    if nmax < 0:
+        raise ValueError("need nmax >= 0")
     out: List[int] = []
     for n in range(1, nmax + 1):
         val = n * factorial(n) ** (m - 1)

@@ -37,8 +37,8 @@ from typing import NamedTuple, Optional, Tuple
 
 from .plethystic import Exp, Log
 from .qpoly import (
-    QPoly, ONE, ZERO, _div_by_s_power, _dot, _poly_str, _trusted, expand_in_s,
-    poly_str, q,
+    QPoly, ONE, ZERO, _div_by_s_power, _dot, _poly_str, expand_in_s, poly_str,
+    q,
 )
 from .tseries import TSeries
 
@@ -82,7 +82,6 @@ def qpochhammer_series(m: int, order: int) -> TSeries:
     return TSeries(order, coeffs)
 
 
-@_one_series_per_m
 def _twisted_inverse(m: int, order: int) -> TSeries:
     # invert, then scale t^d by q^((m-1) binom(d,2)); the t^d-coefficient
     # becomes a polynomial of degree (m-1) d^2 related to |GL_d|^(m-1)
@@ -163,7 +162,7 @@ def class_weight_series(m: int, order: int) -> TSeries:
         f(a, k)^(m-1) = q^((m-1)(a^2 - k(k+1)/2)) P_k^(m-1),
 
     with P_k = prod_{j<=k}(q^j - 1), and P_k^(m-1) is the t^k-coefficient
-    of qpochhammer_series, so each weight is a shifted coefficient list.
+    of qpochhammer_series, so each weight is a shift of one of those.
     """
     _check_m(m)
     poch = qpochhammer_series(m, order).coeffs
@@ -175,8 +174,7 @@ def class_weight_series(m: int, order: int) -> TSeries:
         weights = []
         for b in range(min(a, order - a) + 1):
             k = a - b
-            shift = (m - 1) * (a * a - k * (k + 1) // 2)
-            weights.append(_trusted([0] * shift + list(poch[k].coeffs)))
+            weights.append(poch[k].shift((m - 1) * (a * a - k * (k + 1) // 2)))
         row = [ZERO] * (order - a + 1)
         table.append(row)
         for s in range(a, order + 1):
@@ -238,13 +236,14 @@ def e_polynomial(m: int, d: int, group: str = "GL",
         raise ValueError(f"unknown group {group!r}")
     if variant not in ("full", "irr"):
         raise ValueError(f"unknown variant {variant!r}")
+    if group == "PGL" and m < 2:
+        raise ValueError("PGL E-polynomials need m >= 2")
+    least = 1 if group == "PGL" else 0
+    if d < least:
+        raise ValueError(f"need d >= {least}")
     series = rep_series(m, d) if variant == "full" else abs_irr_series(m, d)
     p = series.coeff(d)
-    if group == "PGL":
-        if m < 2:
-            raise ValueError("PGL E-polynomials need m >= 2")
-        p = _div_by_s_power(p, m)
-    return p
+    return _div_by_s_power(p, m) if group == "PGL" else p
 
 
 def uv_str(p: QPoly) -> str:
@@ -296,6 +295,8 @@ def positivity_report(m: int, dmax: int) -> PositivityReport:
     """s-basis expansion of every A_d plus the first negative s-coefficient
     found among the absolutely irreducible counts (None if there is none)."""
     _check_m(m)
+    if dmax < 0:
+        raise ValueError("need dmax >= 0")
     reps = rep_counts(m, dmax)
     rows = []
     for d in range(1, dmax + 1):

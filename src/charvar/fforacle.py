@@ -89,20 +89,12 @@ def mat_inv(a: tuple, d: int, p: int) -> tuple:
 
     Raises ZeroDivisionError if the matrix is singular.
     """
-    m = [list(a[i * d:(i + 1) * d]) + [1 if k == i else 0 for k in range(d)]
-         for i in range(d)]
-    for c in range(d):
-        pivot = next((i for i in range(c, d) if m[i][c] % p), None)
-        if pivot is None:
-            raise ZeroDivisionError("matrix is singular")
-        m[c], m[pivot] = m[pivot], m[c]
-        inv = pow(m[c][c], -1, p)
-        m[c] = [(x * inv) % p for x in m[c]]
-        for i in range(d):
-            if i != c and m[i][c]:
-                f = m[i][c]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[c])]
-    return tuple(m[i][d + j] for i in range(d) for j in range(d))
+    one = identity(d)
+    rows, pivots = _rref([a[i * d:(i + 1) * d] + one[i * d:(i + 1) * d]
+                          for i in range(d)], d, p)
+    if len(pivots) < d:
+        raise ZeroDivisionError("matrix is singular")
+    return tuple(x for row in rows for x in row[d:])
 
 
 def gl_order(d: int, p: int) -> int:

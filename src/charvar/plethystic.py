@@ -26,12 +26,13 @@ coefficient:
 Exp feeds the P_n of g to the last recurrence, Pow(f, c) the numbers
 sum_{d|n} psi_d(c L_{n/d}), pow_scalar(f, c) the numbers c H_n; Log and
 psi_inv divide the Moebius-weighted sums by n, series_log and psi the
-unweighted ones.  Each coefficient is divided by n once, at the end.  The
-recurrences only add and multiply, so integer inputs give integer
-numerators; the counting pipeline feeds in integer polynomials and every
-Log and Pow it takes is integral, so n divides each numerator and the
-whole computation stays in int.  Only a coefficient that is not integral
-becomes Fraction-valued.
+unweighted ones.  Each coefficient is divided by n once, at the end, by
+QPoly's `/ n`.  The recurrences only add and multiply, so integer inputs
+give integer numerators; the counting pipeline feeds in integer
+polynomials and every Log and Pow it takes is integral, so n divides each
+numerator, `/ n` keeps its int coefficients and the whole computation
+stays in int.  Only a coefficient that is not integral becomes
+Fraction-valued.
 
 Pow(f, 1-q) also has a product expansion over Adams images,
 
@@ -48,7 +49,7 @@ from fractions import Fraction
 from typing import Union
 
 from .arith import divisors, mobius
-from .qpoly import QPoly, ZERO, ONE, _dot, _trusted, q
+from .qpoly import QPoly, ZERO, ONE, _dot, q
 from .tseries import TSeries
 
 ScalarLike = Union[int, Fraction, QPoly]
@@ -64,15 +65,6 @@ def _require_unit_constant(f: TSeries, who: str) -> None:
         raise ValueError(f"{who} needs a series with constant term 1")
 
 
-def _div(c: QPoly, n: int) -> QPoly:
-    """c / n exactly; an int polynomial that n divides keeps int coefficients."""
-    if n == 1:
-        return c
-    if all(type(x) is int and not x % n for x in c.coeffs):
-        return _trusted([x // n for x in c.coeffs])
-    return c * Fraction(1, n)
-
-
 def _index_times(f: TSeries) -> list:
     # [n f_n]: numerators of a series whose t^n-coefficient is f_n
     return [c * n for n, c in enumerate(f.coeffs)]
@@ -81,8 +73,7 @@ def _index_times(f: TSeries) -> list:
 def _over_index(nums: list) -> TSeries:
     # the series with t^n-coefficient nums[n] / n and zero constant term
     order = len(nums) - 1
-    return TSeries(order, [ZERO] + [_div(nums[n], n)
-                                    for n in range(1, order + 1)])
+    return TSeries(order, [ZERO] + [nums[n] / n for n in range(1, order + 1)])
 
 
 def _adams_sum(nums: list, mobius_weighted: bool) -> list:
@@ -129,7 +120,7 @@ def _exp_of_numerators(nums: list) -> TSeries:
     order = len(nums) - 1
     e = [ONE] + [ZERO] * order
     for n in range(1, order + 1):
-        e[n] = _div(_dot((nums[k], e[n - k]) for k in range(1, n + 1)), n)
+        e[n] = _dot((nums[k], e[n - k]) for k in range(1, n + 1)) / n
     return TSeries(order, e)
 
 
@@ -197,19 +188,17 @@ def irreducible_poly_count(d: int) -> QPoly:
         mu = mobius(d // e)
         if mu:
             acc = acc + (q ** e - 1) * mu
-    return acc * Fraction(1, d)
+    return acc / d
 
 
-def pow_product(f: TSeries, dmax: int = None) -> TSeries:
-    """Product expansion prod_{d=1..dmax} psi_d(f)^(-Phi_d), truncated.
+def pow_product(f: TSeries) -> TSeries:
+    """Product expansion prod_{d=1..order} psi_d(f)^(-Phi_d), truncated.
 
     Factors with d larger than the truncation order differ from 1 only
-    beyond the order, so dmax defaults to f.order.
+    beyond the order, so the product stops at d = f.order.
     """
     _require_unit_constant(f, "pow_product")
-    if dmax is None:
-        dmax = f.order
     acc = TSeries.one(f.order)
-    for d in range(1, dmax + 1):
+    for d in range(1, f.order + 1):
         acc = acc * pow_scalar(f.adams(d), -irreducible_poly_count(d))
     return acc

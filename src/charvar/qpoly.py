@@ -5,9 +5,9 @@ tools used throughout the counting machinery: expansion in powers of
 s = q - 1, and exact limits at q = 1 of a quotient of two polynomials
 whose singularity there is removable.
 
-Coefficients are stored as plain ints whenever the value is an integer and
-as fractions.Fraction otherwise.  Everything here is exact; no floating
-point is used anywhere in the package.
+Coefficients are ints or fractions.Fraction (anything else, a float or a
+string, raises TypeError), stored as plain ints whenever the value is an
+integer.  Everything here is exact; no floating point is used anywhere.
 
 The counting pipeline spends nearly all of its time multiplying and adding
 integer polynomials, so the int case is the fast path:
@@ -16,25 +16,22 @@ integer polynomials, so the int case is the fast path:
   work (an isinstance check against Fraction goes through the abc
   machinery and costs several times more), so sums and scalar multiples
   of int polynomials pay one type test per coefficient;
-- negation, q -> q^n and the product of two int polynomials give a
-  canonical result by construction, so a trusted constructor builds it
-  and only strips trailing zeros; every other result involving a Fraction
-  is normalised as before, so an integral Fraction still comes out as an
-  int;
-- a product of two int polynomials whose shorter factor has at least
-  _KRONECKER_MIN_TERMS terms uses Kronecker substitution: each factor is
-  packed into one big integer with slots wide enough for every product
-  coefficient, the two integers are multiplied once (CPython switches to
-  Karatsuba for large operands), and the product is read back slot by
-  slot.  Shorter int factors and every factor with a Fraction coefficient
-  use the schoolbook product.  Both give the same coefficients exactly;
+- negation, q -> q^n, shift (times q^k), division by an int that
+  divides every coefficient and the product of two int polynomials give a
+  canonical result by construction, so a trusted constructor, private to
+  this module, builds it and only strips trailing zeros; every other
+  result involving a Fraction is normalised as before, so an integral
+  Fraction still comes out as an int;
 - the series kernels spend their time in sums of products, which _dot
   forms as one packed Kronecker sum when every factor has int
   coefficients: one slot width for the whole sum, each factor packed once
-  for it and the packing kept on the QPoly (only the last width's), the
-  packed products added as integers and the sum unpacked once.  A sum
-  with any Fraction coefficient multiplies pair by pair instead; that is
-  the one fallback.
+  for it into a big integer and the packing kept on the QPoly (only the
+  last width's), the packed products added as integers and the sum
+  unpacked once.  A sum with any Fraction coefficient multiplies pair by
+  pair instead; that is the one fallback.  A product of two int
+  polynomials whose shorter factor has at least _KRONECKER_MIN_TERMS
+  terms is the one-pair _dot; shorter int factors and every factor with a
+  Fraction coefficient use the schoolbook product.
 """
 
 from __future__ import annotations
@@ -64,6 +61,16 @@ def _norm(c: Scalar) -> Scalar:
     return c
 
 
+def _coefficient(c) -> Scalar:
+    # an exact coefficient in canonical form; bool and other int subclasses
+    # become plain ints, and anything inexact (float, str, ...) is refused
+    if isinstance(c, Fraction):
+        return _norm(c)
+    if isinstance(c, int):
+        return int(c)
+    raise TypeError(f"cannot use {c!r} as a QPoly coefficient")
+
+
 def _all_int(cs) -> bool:
     # exact type: bool and other int subclasses take the normalising path
     return set(map(type, cs)) <= {int}
@@ -78,8 +85,8 @@ def _trusted(cs: list) -> "QPoly":
     return p
 
 
-# Shortest factor, in terms, for which an int product packs both factors
-# into big integers (Kronecker substitution) instead of the schoolbook loop.
+# Shortest factor, in terms, for which an int product is the one-pair _dot
+# (Kronecker substitution) instead of the schoolbook loop.
 # Measured on CPython 3.11, 2-vCPU x86-64: on dense random factors the big
 # multiply wins from about 12 terms; the schoolbook loop skips zero terms,
 # which favours it on sparse factors such as q^j - 1; the polys and verify
@@ -134,18 +141,6 @@ def _kron_unpack(packed: int, width: int, n: int) -> list:
             for i in range(0, width * n, width)]
 
 
-def _kron_mul(a, b) -> list:
-    """Product coefficients of two nonempty int coefficient sequences.
-
-    Each product coefficient is bounded by max|a| * max|b| * min(len), so
-    slots of _slot_width(bound) bytes hold it with its sign.
-    """
-    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-    width = _slot_width(bound)
-    return _kron_unpack(_kron_pack(a, width) * _kron_pack(b, width), width,
-                        len(a) + len(b) - 1)
-
-
 class QPoly:
     """Immutable polynomial in q with exact rational coefficients.
 
@@ -166,9 +161,7 @@ class QPoly:
     __slots__ = ("coeffs", "_maxabs", "_packing")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [c if type(c) is int else
-              _norm(c if isinstance(c, (int, Fraction)) else Fraction(c))
-              for c in coeffs]
+        cs = [c if type(c) is int else _coefficient(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -258,7 +251,7 @@ class QPoly:
             return ZERO
         if _all_int(a) and _all_int(b):
             if min(len(a), len(b)) >= _KRONECKER_MIN_TERMS:
-                return _trusted(_kron_mul(a, b))
+                return _dot(((self, other),))
             return _trusted(_schoolbook_mul(a, b))
         return QPoly(_schoolbook_mul(a, b))
 
@@ -308,6 +301,9 @@ class QPoly:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division by zero scalar")
+            if type(other) is int and all(type(c) is int and not c % other
+                                          for c in self.coeffs):
+                return _trusted([c // other for c in self.coeffs])
             inv = Fraction(1, 1) / other
             return QPoly(tuple(c * inv for c in self.coeffs))
         if isinstance(other, QPoly):
@@ -339,6 +335,18 @@ class QPoly:
         out = [0] * (self.degree * n + 1)
         out[::n] = self.coeffs
         return _trusted(out)
+
+    def shift(self, k: int) -> "QPoly":
+        """Multiply by q^k, k >= 0.
+
+        >>> (q - 1).shift(2) == q ** 3 - q ** 2
+        True
+        """
+        if k < 0:
+            raise ValueError("shift needs k >= 0")
+        if k == 0 or not self.coeffs:
+            return self
+        return _trusted([0] * k + list(self.coeffs))
 
     # -- display -------------------------------------------------------------
 
@@ -496,7 +504,7 @@ def _div_by_s_power(p: QPoly, k: int) -> QPoly:
     return QPoly(top_down[::-1])
 
 
-def ratio(num: QPoly, den: QPoly = ONE) -> QPoly:
+def ratio(num: QPoly, den: QPoly) -> QPoly:
     """The exact quotient num/den; raises ExactDivisionError on a remainder.
 
     >>> ratio(q ** 2 - 1, q - 1) == q + 1

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .arith import binom2
-from .qpoly import QPoly, ZERO, ONE, _dot, _trusted
+from .qpoly import QPoly, ZERO, ONE, _dot
 
 
 def _as_coeff(c) -> QPoly:
@@ -163,9 +163,8 @@ class TSeries:
         """Scale the t^d coefficient by q^((m-1)*binom(d,2)), m >= 1."""
         if m < 1:
             raise ValueError("m must be >= 1")
-        return TSeries(self.order,
-                       [_trusted([0] * ((m - 1) * binom2(d)) + list(c.coeffs))
-                        for d, c in enumerate(self.coeffs)])
+        return TSeries(self.order, [c.shift((m - 1) * binom2(d))
+                                    for d, c in enumerate(self.coeffs)])
 
     def __str__(self):
         parts = []

@@ -126,6 +126,11 @@ def test_usage_errors(capsys, tmp_path):
         2, "", "error: need nmax >= 0\n")
     assert run(capsys, "polys", "--m", "2", "--dmax", "0") == (
         0, "counting polynomials for m = 2, d <= 0\n", "")
+    # --primes names itself when it cannot be read as integers
+    assert run(capsys, "verify", "--m", "2", "--primes", "x") == (
+        2, "", "error: --primes takes comma-separated integers, got 'x'\n")
+    assert run(capsys, "verify", "--m", "2", "--primes", "2,3.5") == (
+        2, "", "error: --primes takes comma-separated integers, got '2,3.5'\n")
     # an --output path that cannot be written is a usage error
     missing = tmp_path / "missing" / "table.json"
     assert run(capsys, "polys", "--m", "2", "--dmax", "1",

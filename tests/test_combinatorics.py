@@ -107,6 +107,15 @@ def test_subgroup_counts_match_hall_recursion():
     for m in (1, 2, 3):
         assert subgroup_counts(m, 8) == hall_subgroup_counts(m, 8)
     assert hall_subgroup_counts(2, 4)[3] == 4 * 24 - (6 * 1 + 2 * 3 + 1 * 13)
+    assert hall_subgroup_counts(2, 0) == subgroup_counts(2, 0) == []
+
+
+def test_subgroup_count_arguments_are_checked_by_both_routes():
+    for count in (subgroup_counts, hall_subgroup_counts):
+        with pytest.raises(ValueError, match=r"^m >= 1 required$"):
+            count(0, 3)
+        with pytest.raises(ValueError, match=r"^need nmax >= 0$"):
+            count(2, -1)
 
 
 def test_limit_transform_recovers_subgroup_counts():

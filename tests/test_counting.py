@@ -192,6 +192,15 @@ def test_e_polynomial_guards():
         e_polynomial(1, 2, "PGL", "full")
     with pytest.raises(ValueError):
         e_polynomial(2, 2, "SL", "full")
+    # d is checked before any series is built, and the message names it
+    with pytest.raises(ValueError, match=r"^need d >= 1$"):
+        e_polynomial(2, 0, "PGL")
+    for group in ("GL", "PGL"):
+        with pytest.raises(ValueError, match=r"^need d >= [01]$"):
+            e_polynomial(2, -1, group)
+    assert e_polynomial(2, 0) == ONE
+    with pytest.raises(ValueError, match=r"^need d >= 1$"):
+        euler_characteristics(2, 0)
 
 
 def test_uv_str():
@@ -281,6 +290,9 @@ def test_positivity_report():
     # the absolutely irreducible counts are not positive in the s-basis:
     # the rank-2 count (q-1)^2 (q^3-q^2-1) has s-expansion [0,0,-1,1,2,1]
     assert rep.irr_witness == (2, 2, -1)
+    assert positivity_report(2, 0).rows == ()
+    with pytest.raises(ValueError, match=r"^need dmax >= 0$"):
+        positivity_report(2, -1)
 
 
 def test_build_table():

@@ -48,6 +48,9 @@ def test_det_multiplicative_and_inverse_roundtrip():
         if mat_det(a, d, p):
             assert mat_mul(a, mat_inv(a, d, p), d, p) == identity(d)
             assert mat_mul(mat_inv(a, d, p), a, d, p) == identity(d)
+        else:
+            with pytest.raises(ZeroDivisionError, match="matrix is singular"):
+                mat_inv(a, d, p)
 
 
 def test_group_orders():

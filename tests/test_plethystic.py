@@ -8,7 +8,7 @@ import pytest
 from charvar.arith import divisors, mobius
 from charvar.qpoly import QPoly, ONE, ZERO, expand_in_s, limit_at_1, q, ratio
 from charvar.plethystic import (
-    Exp, Log, Pow, _div, irreducible_poly_count, pow_product, pow_scalar, psi,
+    Exp, Log, Pow, irreducible_poly_count, pow_product, pow_scalar, psi,
     psi_inv, series_exp, series_log,
 )
 from charvar.tseries import TSeries
@@ -113,17 +113,21 @@ def test_numerator_kernel_matches_per_step_division():
 
 
 def test_exact_division_stays_int_when_n_divides():
+    # the plethystic operators divide each numerator by its index with / n
     rng = random.Random(43)
     for _ in range(200):
-        n = rng.randint(2, 6)
+        n = rng.choice((1, 2, 3, 4, 5, 6, -2, -3))
         c = QPoly([rng.choice((0, n, -2 * n, 1, 3)) * rng.randint(1, 4)
                    for _ in range(rng.randint(0, 5))])
-        out = _div(c, n)
+        out = c / n
         assert out * n == c
         divides = all(x % n == 0 for x in c.coeffs)
         assert all(type(x) is int for x in out.coeffs) == divides
     r = q * Fraction(1, 2) + 1
-    assert _div(r, 3) * 3 == r
+    assert (r / 3) * 3 == r
+    assert (r / 3).coeffs == (Fraction(1, 3), Fraction(1, 6))
+    with pytest.raises(ZeroDivisionError):
+        q / 0
 
 
 def test_psi_of_t():
@@ -248,6 +252,8 @@ def test_pow_product_matches_Pow():
     assert pow_product(TSeries.one(5)) == TSeries.one(5)
     g = pow_product(TSeries(4, [1, -1]))
     assert g.coeff(1) == q - 1
+    with pytest.raises(TypeError):
+        pow_product(g, 2)                       # the product stops at g.order
 
 
 def test_q1_specialization_relations():

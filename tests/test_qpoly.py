@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic, s-expansions and limits at q = 1."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -110,6 +111,8 @@ def test_ratio_demotes_to_polynomial():
     v = q ** 3 * (q - 1) ** 2 / (q - 1) ** 2
     assert v == q ** 3
     assert ratio(ZERO, q - 1) == ZERO
+    with pytest.raises(TypeError):
+        ratio(q)                                # the denominator is required
 
 
 def test_limit_at_1():
@@ -208,6 +211,14 @@ def rand_int_coeffs(rng, n, bits):
     return cs
 
 
+def assert_product(a, b):
+    # QPoly.__mul__ on int coefficient lists against the written-out sum
+    expected = tuple(reference_product(a, b))
+    got = (QPoly(a) * QPoly(b)).coeffs
+    assert got == expected
+    assert all(type(c) is int for c in got)
+
+
 def test_kronecker_matches_schoolbook():
     rng = random.Random(2024)
     t = qpoly._KRONECKER_MIN_TERMS
@@ -216,39 +227,46 @@ def test_kronecker_matches_schoolbook():
         for _ in range(12):
             a = rand_int_coeffs(rng, rng.choice(lengths), bits)
             b = rand_int_coeffs(rng, rng.choice(lengths), bits)
-            expected = reference_product(a, b)
-            assert qpoly._kron_mul(a, b) == expected
-            assert qpoly._schoolbook_mul(a, b) == expected
-            assert (QPoly(a) * QPoly(b)).coeffs == tuple(expected)
+            assert qpoly._schoolbook_mul(a, b) == reference_product(a, b)
+            assert_product(a, b)
+            assert_product(b, a)
 
 
 def test_kronecker_extreme_slots():
     # all-negative and all-maximal factors put every product slot at the
     # edge of the signed range
+    big = (1 << 100) + 3
     for n in (16, 17, 40):
-        big = (1 << 100) + 3
         a, b = [-big] * n, [big] * (n + 5)
-        assert qpoly._kron_mul(a, b) == reference_product(a, b)
-        assert qpoly._kron_mul(a, a) == reference_product(a, a)
-    assert qpoly._kron_mul([1], [-1]) == [-1]
-    assert qpoly._kron_mul([0, 0, 5], [0, -3]) == [0, 0, 0, -15]
+        assert_product(a, b)
+        assert_product(a, a)
+        assert_product([-1] * n, [-1] * n)
+        assert_product([-(1 << 7)] * n, [1 << 7] * n)
+    assert_product([1], [-1])
+    assert_product([0, 0, 5], [0, -3])
+    # leading zeros in long factors become a shift of the packed product
+    t = qpoly._KRONECKER_MIN_TERMS
+    assert_product([0] * 3 + [-big] * t, [0] * 5 + [big] * t)
 
 
 def test_product_path_selection(monkeypatch):
     calls = []
-    kron = qpoly._kron_mul
+    dot = qpoly._dot
 
-    def spy(a, b):
-        calls.append((len(a), len(b)))
-        return kron(a, b)
+    def spy(pairs):
+        pairs = list(pairs)
+        calls.append([(len(a.coeffs), len(b.coeffs)) for a, b in pairs])
+        return dot(pairs)
 
-    monkeypatch.setattr(qpoly, "_kron_mul", spy)
+    monkeypatch.setattr(qpoly, "_dot", spy)
     t = qpoly._KRONECKER_MIN_TERMS
     long_ = QPoly(range(1, t + 3))
     QPoly(range(1, t)) * long_                 # shorter factor below the threshold
+    q * long_
     assert calls == []
-    QPoly(range(1, t + 1)) * long_
-    assert calls == [(t, t + 2)]
+    assert QPoly(range(1, t + 1)) * long_ == QPoly(
+        reference_product(range(1, t + 1), range(1, t + 3)))
+    assert calls == [[(t, t + 2)]]
     # one Fraction coefficient sends the product to the schoolbook loop,
     # which normalises integral results back to int
     half = QPoly([Fraction(1, 2)] + list(range(1, t + 3)))
@@ -401,6 +419,30 @@ def test_bool_coefficients_keep_value_semantics():
     assert p * p == QPoly([1, 0, 2, 0, 1])
     assert p + p == QPoly([2, 0, 2])
     assert QPoly([True, False]).coeffs == (True,)
+    assert [type(c) for c in p.coeffs] == [int, int, int]
+    assert str(QPoly([True])) == "1"
+
+
+def test_inexact_coefficients_are_refused():
+    for bad in (0.1, 1.0, "1/2", "3", Decimal("0.5"), None, 1j):
+        with pytest.raises(TypeError, match="QPoly coefficient"):
+            QPoly([1, bad])
+    assert QPoly([Fraction(6, 3), 1]).coeffs == (2, 1)
+
+
+def test_shift_multiplies_by_a_power_of_q():
+    p = QPoly([3, 0, -2])
+    assert p.shift(0) is p
+    assert ZERO.shift(5) is ZERO
+    for k in (1, 2, 7):
+        got = p.shift(k)
+        assert got == p * q ** k
+        assert got.coeffs == (0,) * k + (3, 0, -2)
+        assert all(type(c) is int for c in got.coeffs)
+    half = QPoly([Fraction(1, 2), 1])
+    assert half.shift(2).coeffs == (0, 0, Fraction(1, 2), 1)
+    with pytest.raises(ValueError):
+        p.shift(-1)
 
 
 def test_poly_str_variable_name():
