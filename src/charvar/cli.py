@@ -6,8 +6,9 @@ counts, `permstats` lists connected permutation tuples with their
 inversion weights, and `oracle` runs the finite-field brute force.
 
 Exit codes: 0 success, 2 usage error (an --output path that cannot be
-written counts as one), 3 verification, integrality or brute-force
-identity failure, 4 size guard.  Output is deterministic for
+written counts as one), 3 failed verification or any internal arithmetic
+failure (integrality, brute-force identity, inexact division, a pole),
+4 size guard.  Output is deterministic for
 a fixed command line, and JSON output re-serializes to the same bytes
 after parsing.
 """
@@ -20,11 +21,10 @@ import io
 import json
 import sys
 
-from .combinatorics import (IdentityError, SizeGuardError,
-                            connected_tuples, connected_weight_poly,
-                            inversions, subgroup_counts)
-from .counting import (IntegralityError, build_table, default_dmax,
-                       e_polynomial, uv_str)
+from .combinatorics import (SizeGuardError, connected_tuples,
+                            connected_weight_poly, inversions,
+                            subgroup_counts)
+from .counting import build_table, default_dmax, e_polynomial, uv_str
 from .fforacle import orbit_census
 from .qpoly import poly_str
 from .verify import all_passed, run_verification
@@ -188,41 +188,34 @@ def cmd_subgroups(args) -> tuple:
 def cmd_permstats(args) -> tuple:
     tuples = connected_tuples(args.n, args.m)
     poly = connected_weight_poly(args.n, args.m)
-    listing = [{"perms": [list(p) for p in tup],
-                "inversions": sum(inversions(p) for p in tup)}
-               for tup in tuples]
+    weights = [sum(map(inversions, tup)) for tup in tuples]
     if args.format == "json":
+        listing = [{"perms": [list(p) for p in tup], "inversions": w}
+                   for tup, w in zip(tuples, weights)]
         payload = {"m": args.m, "n": args.n,
                    "poly": [str(c) for c in poly.coeffs],
                    "tuples": listing}
         return json.dumps(payload, indent=2) + "\n", EXIT_OK
     if args.format == "csv":
-        rows = [[" ".join(map(str, perm)) for perm in tup]
-                + [sum(inversions(p) for p in tup)] for tup in tuples]
+        rows = [[" ".join(map(str, perm)) for perm in tup] + [w]
+                for tup, w in zip(tuples, weights)]
         header = [f"perm{i}" for i in range(1, args.m)] + ["inversions"]
         return _csv_text(header, rows), EXIT_OK
     lines = [f"connected {args.m - 1}-tuples of permutations of "
              f"degree {args.n}",
              f"weight polynomial: {poly_str(poly)}"]
-    for entry in listing:
-        perms = " | ".join(" ".join(map(str, p)) for p in entry["perms"])
-        lines.append(f"  {perms}    inversions = {entry['inversions']}")
+    for tup, w in zip(tuples, weights):
+        perms = " | ".join(" ".join(map(str, p)) for p in tup)
+        lines.append(f"  {perms}    inversions = {w}")
     return "\n".join(lines) + "\n", EXIT_OK
 
 
 def cmd_oracle(args) -> tuple:
     census = orbit_census(args.d, args.p, args.m)
     if args.format == "json":
-        payload = {"d": census.d, "p": census.p, "m": census.m,
-                   "group_order": census.group_order,
-                   "orbits": census.orbits, "abs_irr": census.abs_irr,
-                   "abs_ind": census.abs_ind}
-        return json.dumps(payload, indent=2) + "\n", EXIT_OK
+        return json.dumps(census._asdict(), indent=2) + "\n", EXIT_OK
     if args.format == "csv":
-        row = [census.d, census.p, census.m, census.group_order,
-               census.orbits, census.abs_irr, census.abs_ind]
-        return _csv_text(["d", "p", "m", "group_order", "orbits",
-                          "abs_irr", "abs_ind"], [row]), EXIT_OK
+        return _csv_text(census._fields, [census]), EXIT_OK
     lines = [f"brute-force census of {census.m}-tuples in GL_{census.d}"
              f"(F_{census.p}), group order {census.group_order}",
              f"orbits: {census.orbits}",
@@ -248,7 +241,7 @@ def main(argv=None) -> int:
     except SizeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIZE
-    except (IntegralityError, IdentityError) as exc:
+    except ArithmeticError as exc:
         print(f"error: internal identity failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     except ValueError as exc:

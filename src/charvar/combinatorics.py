@@ -19,6 +19,7 @@ Three strands, all exact:
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
@@ -63,12 +64,15 @@ def q_factorial(n: int) -> QPoly:
     return ONE if n == 0 else q_factorial(n - 1) * q_int(n)
 
 
+def _weight_poly(weights: Iterable[int]) -> QPoly:
+    # sum of q^w over the weights, built from their histogram at once
+    hist = Counter(weights)
+    return QPoly([hist[w] for w in range(max(hist, default=-1) + 1)])
+
+
 def length_gen_poly(n: int) -> QPoly:
     """Sum of q^inversions over all of S_n (equals the q-factorial)."""
-    acc = ZERO
-    for perm in itertools.permutations(range(n)):
-        acc = acc + q ** inversions(perm)
-    return acc
+    return _weight_poly(map(inversions, itertools.permutations(range(n))))
 
 
 # -- connected tuples and the inversion identity -------------------------------
@@ -107,10 +111,8 @@ def connected_tuples(n: int, m: int) -> List[PermTuple]:
 
 def connected_weight_poly(n: int, m: int) -> QPoly:
     """Sum of q^(total inversions) over connected (m-1)-tuples."""
-    acc = ZERO
-    for tup in connected_tuples(n, m):
-        acc = acc + q ** sum(inversions(p) for p in tup)
-    return acc
+    return _weight_poly(sum(map(inversions, tup))
+                        for tup in connected_tuples(n, m))
 
 
 def connected_weight_series(m: int, order: int) -> TSeries:
@@ -179,6 +181,8 @@ def limit_transform(m: int, nmax: int) -> List[Fraction]:
     """
     if m < 2:
         raise ValueError("needs m >= 2")
+    if nmax < 0:
+        raise ValueError("need nmax >= 0")
     irr = abs_irr_counts(m, nmax)
     out = []
     for n in range(1, nmax + 1):

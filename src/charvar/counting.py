@@ -27,6 +27,8 @@ The t^d-coefficient of each series does not depend on the truncation
 order, so each is built once per m: a call with a smaller order returns a
 truncation of the longest series built so far, and a larger order builds
 the series again at that order and keeps it in place of the old one.
+That wrapper is also the one check of m >= 1 and dmax >= 0 for all six
+series and everything built on them.
 """
 
 from __future__ import annotations
@@ -58,11 +60,15 @@ def _check_m(m: int) -> None:
 
 
 def _one_series_per_m(build):
-    """Cache build(m, order) once per m; smaller orders are truncations."""
+    """Check (m, order), then cache build(m, order) once per m; smaller
+    orders are truncations."""
     longest = {}
 
     @wraps(build)
     def series(m: int, order: int) -> TSeries:
+        _check_m(m)
+        if order < 0:
+            raise ValueError("need dmax >= 0")
         have = longest.get(m)
         if have is None or have.order < order:
             have = longest[m] = build(m, order)
@@ -73,7 +79,6 @@ def _one_series_per_m(build):
 @_one_series_per_m
 def qpochhammer_series(m: int, order: int) -> TSeries:
     """Series with t^d-coefficient (prod_{i=1..d}(q^i - 1))^(m-1)."""
-    _check_m(m)
     poch = ONE
     coeffs = [ONE]
     for d in range(1, order + 1):
@@ -164,7 +169,6 @@ def class_weight_series(m: int, order: int) -> TSeries:
     with P_k = prod_{j<=k}(q^j - 1), and P_k^(m-1) is the t^k-coefficient
     of qpochhammer_series, so each weight is a shift of one of those.
     """
-    _check_m(m)
     poch = qpochhammer_series(m, order).coeffs
     # table[a][s] = G(a, s), kept only for s <= order - a: a later part
     # a' >= a reads G(a, s) at s = s' - a' <= order - a.  G(0, s) = 0, s > 0.
@@ -294,9 +298,6 @@ class PositivityReport(NamedTuple):
 def positivity_report(m: int, dmax: int) -> PositivityReport:
     """s-basis expansion of every A_d plus the first negative s-coefficient
     found among the absolutely irreducible counts (None if there is none)."""
-    _check_m(m)
-    if dmax < 0:
-        raise ValueError("need dmax >= 0")
     reps = rep_counts(m, dmax)
     rows = []
     for d in range(1, dmax + 1):
@@ -358,11 +359,8 @@ class CharVarTable(NamedTuple):
 
 def build_table(m: int, dmax: int = None) -> CharVarTable:
     """Full table for d = 1..dmax; coefficient lists are the JSON contract."""
-    _check_m(m)
     if dmax is None:
         dmax = default_dmax(m)
-    if dmax < 0:
-        raise ValueError("need dmax >= 0")
     reps = rep_series(m, dmax)
     irrs = abs_irr_series(m, dmax)
     inds = abs_ind_series(m, dmax)

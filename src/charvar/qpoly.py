@@ -7,15 +7,17 @@ whose singularity there is removable.
 
 Coefficients are ints or fractions.Fraction (anything else, a float or a
 string, raises TypeError), stored as plain ints whenever the value is an
-integer.  Everything here is exact; no floating point is used anywhere.
+integer.  _coefficient is the one normaliser of that rule, for points of
+evaluation too.  Everything here is exact; no floating point is used.
 
 The counting pipeline spends nearly all of its time multiplying and adding
 integer polynomials, so the int case is the fast path:
 
 - normalising a coefficient tests ``type(c) is int`` before any Fraction
   work (an isinstance check against Fraction goes through the abc
-  machinery and costs several times more), so sums and scalar multiples
-  of int polynomials pay one type test per coefficient;
+  machinery and costs several times more), and the constructor makes that
+  test inline, so sums and scalar multiples of int polynomials pay one
+  type test per coefficient and no call;
 - negation, q -> q^n, shift (times q^k), division by an int that
   divides every coefficient and the product of two int polynomials give a
   canonical result by construction, so a trusted constructor, private to
@@ -52,20 +54,13 @@ class PoleError(ArithmeticError):
     """Evaluation or limit taken at a genuine pole."""
 
 
-def _norm(c: Scalar) -> Scalar:
-    # collapse integral Fractions to int; keeps hashing and repr canonical
+def _coefficient(c) -> Scalar:
+    # the one normaliser: ints and integral Fractions (bool too) become plain
+    # ints, other Fractions stay, and anything inexact (float, str) is refused
     if type(c) is int:
         return c
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
-
-
-def _coefficient(c) -> Scalar:
-    # an exact coefficient in canonical form; bool and other int subclasses
-    # become plain ints, and anything inexact (float, str, ...) is refused
     if isinstance(c, Fraction):
-        return _norm(c)
+        return int(c) if c.denominator == 1 else c
     if isinstance(c, int):
         return int(c)
     raise TypeError(f"cannot use {c!r} as a QPoly coefficient")
@@ -190,7 +185,7 @@ class QPoly:
     @property
     def is_integral(self) -> bool:
         """True when every coefficient is an integer."""
-        return all(isinstance(c, int) for c in self.coeffs)
+        return _all_int(self.coeffs)
 
     @property
     def is_scalar(self) -> bool:
@@ -284,7 +279,7 @@ class QPoly:
             c = rem[i]
             if c == 0:
                 continue
-            f = _norm(Fraction(c, lead)) if lead != 1 else c
+            f = _coefficient(Fraction(c, lead)) if lead != 1 else c
             quot[i - dd] = f
             for j, oc in enumerate(other.coeffs):
                 rem[i - dd + j] -= f * oc
@@ -318,11 +313,13 @@ class QPoly:
     # -- evaluation and substitution ----------------------------------------
 
     def evaluate(self, x: Scalar) -> Scalar:
-        """Exact value at q = x (Horner)."""
+        """Exact value at q = x (Horner); x is an int or a Fraction, as a
+        coefficient is, and a float or a string raises TypeError."""
+        x = _coefficient(x)
         acc: Scalar = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return _norm(acc)
+        return _coefficient(acc)
 
     __call__ = evaluate
 
@@ -483,7 +480,7 @@ def expand_in_s(p: QPoly) -> list:
     out = []
     while top_down:
         top_down = list(accumulate(top_down))
-        out.append(_norm(top_down.pop()))
+        out.append(_coefficient(top_down.pop()))
     return out
 
 
@@ -534,4 +531,4 @@ def limit_at_1(num: QPoly, den: QPoly = ONE) -> Scalar:
         raise PoleError(f"pole of order {vd - vn} at q = 1")
     if vn > vd:
         return 0
-    return _norm(Fraction(cn) / cd)
+    return _coefficient(Fraction(cn) / cd)

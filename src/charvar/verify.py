@@ -216,7 +216,7 @@ def _check_quotient_epoly(m, dmax):
 def _check_integrality(m, dmax):
     for counts in (rep_counts, abs_irr_counts, abs_ind_counts, orbit_counts):
         for p in counts(m, dmax)[1:]:
-            _require(all(isinstance(c, int) for c in p.coeffs))
+            _require(p.is_integral)
     return "all coefficients are integers (certified during construction)"
 
 

@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import charvar
+from charvar import counting
 from charvar.cli import main
+from charvar.qpoly import ExactDivisionError, PoleError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -335,6 +337,50 @@ def test_oracle_output(capsys):
     code, out, _ = run(capsys, "oracle", "--d", "2", "--p", "2", "--m", "2",
                        "--format", "csv")
     assert out.splitlines()[1] == "2,2,2,6,11,3,6"
+
+
+@pytest.mark.parametrize("error", [ExactDivisionError, PoleError],
+                         ids=lambda e: e.__name__)
+def test_internal_arithmetic_failures_exit_3(capsys, monkeypatch, error):
+    # any ArithmeticError out of the library is an internal failure, not a
+    # traceback
+    def fail(*args, **kwargs):
+        raise error("injected")
+    monkeypatch.setattr(counting, "_div_by_s_power", fail)
+    assert run(capsys, "polys", "--m", "2", "--dmax", "2") == (
+        3, "", "error: internal identity failure: injected\n")
+
+
+# sha256 of stdout; the oracle output is rendered from the OracleCensus
+# fields, so renaming or reordering a field changes these bytes
+OUTPUT_DIGESTS = {
+    ("oracle", "--d", "2", "--p", "3", "--m", "3", "--format", "text"):
+        "3674248e5d0d8c3ff874ee2af8b359a47b7b77ae77b6569075e58711e9552859",
+    ("oracle", "--d", "2", "--p", "3", "--m", "3", "--format", "json"):
+        "4a967775060a4964df5c0adfa1301ade6249f6631d9a5195c14b737c63e15128",
+    ("oracle", "--d", "2", "--p", "3", "--m", "3", "--format", "csv"):
+        "15aacec3a231873819b710c092e7c2db7a4cfad49398738199059d0cddbd4618",
+    ("oracle", "--d", "3", "--p", "2", "--m", "2", "--format", "text"):
+        "d645ed7033e796b8abe85539398f5f3c5b3e5b4fcff8ed48ad7167d3667bcb93",
+    ("oracle", "--d", "3", "--p", "2", "--m", "2", "--format", "json"):
+        "df0a07b276b0ad0d8da99e31b002299cc9f3854bfcfb00c47c216271305458b4",
+    ("oracle", "--d", "3", "--p", "2", "--m", "2", "--format", "csv"):
+        "cfd161da3270e27779b34ab3373651958c7c6d5d44fb1066718deeb1d3fdf82a",
+    ("permstats", "--m", "2", "--n", "3", "--format", "text"):
+        "d607fb23a7166118c17549c97056e07880141a2277b892d8c4f2782d52f7c7d5",
+    ("permstats", "--m", "2", "--n", "3", "--format", "json"):
+        "e7a95c03bdb8343e07a2bdd8e3708a48bd69abf70264ee2bf85f9ca948e6f1c6",
+    ("permstats", "--m", "2", "--n", "3", "--format", "csv"):
+        "0ee4ef720fd809f05faba78c7ceabfed641f2a0cb67faa11e858fc8f2c61409e",
+}
+
+
+@pytest.mark.parametrize("argv", list(OUTPUT_DIGESTS), ids=" ".join)
+def test_oracle_and_permstats_bytes_pinned(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        OUTPUT_DIGESTS[argv]
 
 
 def test_size_guard_exit_code(capsys):

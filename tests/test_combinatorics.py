@@ -124,6 +124,9 @@ def test_limit_transform_recovers_subgroup_counts():
         vals = limit_transform(m, 5)
         assert vals == [Fraction(j[n - 1], n) for n in range(1, 6)]
     assert limit_transform(2, 2) == [Fraction(1), Fraction(3, 2)]
+    assert limit_transform(2, 0) == []
+    with pytest.raises(ValueError, match=r"^need nmax >= 0$"):
+        limit_transform(2, -1)
 
 
 def test_census_degree_2():

@@ -326,3 +326,20 @@ def test_default_dmax():
 def test_build_table_guards():
     with pytest.raises(ValueError):
         build_table(0, 2)
+
+
+@pytest.mark.parametrize("count", [
+    rep_counts, abs_irr_counts, abs_ind_counts, orbit_counts,
+    qpochhammer_series, rep_series, abs_irr_series, abs_ind_series,
+    orbit_series, class_weight_series, build_table, positivity_report,
+], ids=lambda f: f.__name__)
+def test_every_count_function_checks_m_and_dmax(count):
+    # one check in front of the six series covers everything built on them
+    with pytest.raises(ValueError, match=r"^need dmax >= 0$"):
+        count(2, -1)
+    with pytest.raises(ValueError, match=r"^the free group needs at least "
+                                         r"one generator \(m >= 1\)$"):
+        count(0, 2)
+    # the m check comes first, as before
+    with pytest.raises(ValueError, match=r"\(m >= 1\)$"):
+        count(0, -1)

@@ -59,6 +59,18 @@ def test_evaluate_stays_exact():
     assert isinstance((q ** 2)(3), int)
 
 
+def test_evaluate_refuses_inexact_points():
+    p = QPoly([1, 2])
+    for bad in (0.5, 1.0, "1", None):
+        with pytest.raises(TypeError, match="QPoly coefficient"):
+            p.evaluate(bad)
+        with pytest.raises(TypeError):
+            ZERO(bad)
+    assert p.evaluate(True) == 3 and type(p.evaluate(True)) is int
+    assert p.evaluate(Fraction(1, 2)) == 2 and type(p(Fraction(1, 2))) is int
+    assert p.evaluate(Fraction(1, 3)) == Fraction(5, 3)
+
+
 def test_expand_in_s_examples():
     # q^3 (q-1)^2 = (s+1)^3 s^2 with s = q-1
     p = q ** 3 * (q - 1) ** 2
