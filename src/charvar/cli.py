@@ -21,9 +21,8 @@ import io
 import json
 import sys
 
-from .combinatorics import (SizeGuardError, connected_tuples,
-                            connected_weight_poly, inversions,
-                            subgroup_counts)
+from .combinatorics import (SizeGuardError, connected_tuples, inversions,
+                            subgroup_counts, weight_poly)
 from .counting import build_table, default_dmax, e_polynomial, uv_str
 from .fforacle import orbit_census
 from .qpoly import poly_str
@@ -187,8 +186,8 @@ def cmd_subgroups(args) -> tuple:
 
 def cmd_permstats(args) -> tuple:
     tuples = connected_tuples(args.n, args.m)
-    poly = connected_weight_poly(args.n, args.m)
     weights = [sum(map(inversions, tup)) for tup in tuples]
+    poly = weight_poly(weights)
     if args.format == "json":
         listing = [{"perms": [list(p) for p in tup], "inversions": w}
                    for tup, w in zip(tuples, weights)]

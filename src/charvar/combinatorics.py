@@ -64,15 +64,15 @@ def q_factorial(n: int) -> QPoly:
     return ONE if n == 0 else q_factorial(n - 1) * q_int(n)
 
 
-def _weight_poly(weights: Iterable[int]) -> QPoly:
-    # sum of q^w over the weights, built from their histogram at once
+def weight_poly(weights: Iterable[int]) -> QPoly:
+    """Sum of q^w over the weights, built from their histogram at once."""
     hist = Counter(weights)
     return QPoly([hist[w] for w in range(max(hist, default=-1) + 1)])
 
 
 def length_gen_poly(n: int) -> QPoly:
     """Sum of q^inversions over all of S_n (equals the q-factorial)."""
-    return _weight_poly(map(inversions, itertools.permutations(range(n))))
+    return weight_poly(map(inversions, itertools.permutations(range(n))))
 
 
 # -- connected tuples and the inversion identity -------------------------------
@@ -111,8 +111,8 @@ def connected_tuples(n: int, m: int) -> List[PermTuple]:
 
 def connected_weight_poly(n: int, m: int) -> QPoly:
     """Sum of q^(total inversions) over connected (m-1)-tuples."""
-    return _weight_poly(sum(map(inversions, tup))
-                        for tup in connected_tuples(n, m))
+    return weight_poly(sum(map(inversions, tup))
+                       for tup in connected_tuples(n, m))
 
 
 def connected_weight_series(m: int, order: int) -> TSeries:

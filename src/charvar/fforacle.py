@@ -7,11 +7,12 @@ absolutely irreducible or absolutely indecomposable.  Matching the two
 routes at several primes is strong evidence that the symbolic counts are
 polynomials in q evaluated correctly.
 
-The census works class by class: conjugation acts through a table of
+The census walks a stabiliser chain: conjugation acts through a table of
 index permutations, composed from the conjugations by a few generators of
-GL_d(F_p); for each class representative x only the centralizer of x acts
-on the remaining entries; and tuples that share a prefix share the linear
-algebra that classifies them.
+GL_d(F_p); each tuple entry runs over the orbit representatives of the
+stabiliser of the entries before it, so no set of visited tuples is kept;
+and tuples that share a prefix share the linear algebra that classifies
+them.
 
 Matrices are flat tuples of length d*d with entries reduced mod p, row
 major.  All sizes are deliberately tiny; guards raise SizeGuardError
@@ -171,19 +172,18 @@ def _conjugation_table(group: list, d: int, p: int) -> list:
     return conj
 
 
-def _classes(conj: list) -> list:
-    """(index of the lex-least representative, size) of each class."""
+def _orbits(rows: list) -> list:
+    """(least index, size) of each orbit of the group whose elements, as
+    index permutations, are the rows."""
     seen = set()
     out = []
-    for x in range(len(conj)):
-        if x in seen:
-            continue
-        orbit = {row[x] for row in conj}
-        seen |= orbit
-        out.append((x, len(orbit)))
-    if sum(size for _, size in out) != len(conj):
-        raise IdentityError("conjugacy class sizes do not add up to the "
-                            "group order")
+    for x in range(len(rows[0])):
+        if x not in seen:
+            orbit = {row[x] for row in rows}
+            seen |= orbit
+            out.append((x, len(orbit)))
+    if sum(size for _, size in out) != len(rows[0]):
+        raise IdentityError("orbit sizes do not add up to the group order")
     return out
 
 
@@ -201,7 +201,7 @@ def conjugacy_classes(d: int, p: int) -> list:
         raise SizeGuardError(f"group of order {n} exceeds the class limit")
     group = gl_enumerate(d, p)
     return [ConjClass(rep=group[x], size=size, centralizer_order=n // size)
-            for x, size in _classes(_conjugation_table(group, d, p))]
+            for x, size in _orbits(_conjugation_table(group, d, p))]
 
 
 def burnside_orbit_count(d: int, p: int, m: int) -> int:
@@ -321,34 +321,36 @@ def is_absolutely_indecomposable(mats, d: int, p: int) -> bool:
 
     A tuple stays indecomposable over every field extension exactly when
     its endomorphism algebra E has a unique maximal ideal and E modulo
-    that ideal is F_p itself.  Both conditions are read off from the set
-    of singular elements of E: they must form a linear subspace of
-    codimension one.  A singular element of E, having a polynomial of
-    itself as candidate inverse, is singular in E too, so matrix rank
-    decides invertibility.
+    that ideal is F_p itself.  Both conditions are read off from the
+    number of singular elements of E; a singular element of E, having a
+    polynomial of itself as candidate inverse, is singular in E too.
     """
     return _local_split(endomorphism_basis(mats, d, p), d, p)
 
 
 def _local_split(basis: list, d: int, p: int) -> bool:
-    """True when the unital algebra spanned by basis is local with residue
-    field F_p: its singular elements form a subspace of codimension one.
+    """True when the unital algebra E spanned by the k basis elements is
+    local with residue field F_p, that is, has p**(k-1) singular elements.
+
+    Modulo its radical, E is a product of blocks M_n(F_{p^f}), and an
+    element is a unit when it is one modulo the radical.  So the units are
+    the fraction prod (1 - p**-a) of E, one factor for each block and each
+    a = f*j, j = 1..n: 1 - 1/p for the single block F_p.  Otherwise, over
+    the common denominator p**S, S = sum a, the numerator prod (p**a - 1)
+    is prime to p and (p - 1) * p**(S-1) is not, unless S = 1.
     """
     k = len(basis)
     if k == 1:                       # F_p * 1
         return True
-    nonunits = []
+    singular = 0
     for coeffs in itertools.product(range(p), repeat=k):
         e = [0] * (d * d)
         for c, b in zip(coeffs, basis):
             if c:
                 for i in range(d * d):
                     e[i] = (e[i] + c * b[i]) % p
-        if mat_det(tuple(e), d, p) == 0:
-            nonunits.append(coeffs)
-    _, pivots = _rref(nonunits, k, p)
-    rank = len(pivots)
-    return len(nonunits) == p ** rank and k - rank == 1
+        singular += mat_det(tuple(e), d, p) == 0
+    return singular == p ** (k - 1)
 
 
 def _extend_end(basis: list, y: tuple, d: int, p: int) -> list:
@@ -402,18 +404,18 @@ class OracleCensus(NamedTuple):
 def orbit_census(d: int, p: int, m: int) -> OracleCensus:
     """Classify every conjugation orbit of m-tuples of invertible matrices.
 
-    The orbits of GL_d(F_p) on m-tuples whose first entry lies in the
-    class of x are the orbits of the centralizer C(x) on the remaining
-    m - 1 entries.  So for each lex-least class representative x the
-    sweep runs over those entries in lexicographic index order, marking
-    each C(x)-orbit as visited; its first tuple is the representative,
-    and each orbit is classified exactly once.
+    The sweep walks a stabiliser chain: the orbits on tuples with a given
+    prefix are the orbits of its stabiliser (the elements commuting with
+    each prefix entry) on the remaining entries.  The first entry runs
+    over the class representatives, each next one over the orbit
+    representatives of the stabiliser of the entries before it, so each
+    orbit is reached and classified once and no visited-tuple set is
+    kept.  An explicit stack holds one frame per prefix, so deep tuples
+    do not recurse; the orbit count is checked against Burnside's count.
 
-    Classification is conjugation-invariant and shares work between
-    tuples with a common prefix: the commuting algebra End and the echelon
-    span of the generated algebra are kept for every prefix of the current
-    representative and extended by one entry at a time.  A tuple is
-    absolutely irreducible when the span is the full matrix algebra, and
+    Each frame also holds the commuting algebra End and the echelon span
+    of the algebra generated by its prefix, extended one entry at a time.
+    A tuple is absolutely irreducible when the span is all of M_d, and
     absolutely indecomposable when End is local with residue field F_p.
     """
     if m < 1:
@@ -425,39 +427,37 @@ def orbit_census(d: int, p: int, m: int) -> OracleCensus:
         raise SizeGuardError(f"sweeping {n}**{max(m, 2)} tuples is too much")
     group = gl_enumerate(d, p)
     conj = _conjugation_table(group, d, p)
-    # prefixes[j]: (last index, mats, End, span) of the first j entries of
-    # the current representative; the empty prefix commutes with all of
-    # M_d and generates F_p * 1
+    classes = _orbits(conj)
+    # frame: (stabiliser rows, prefix, End, span, orbits not yet visited);
+    # the empty prefix commutes with all of M_d and generates F_p * 1
     full_end = [tuple(int(t == s) for t in range(d * d)) for s in range(d * d)]
-    prefixes = [(None, (), full_end, [(0, identity(d))])]
+    stack = [(conj, (), full_end, [(0, identity(d))], iter(classes))]
     orbits = abs_irr = abs_ind = 0
-    for x, _ in _classes(conj):
-        centralizer = [row for row in conj if row[x] == x]
-        visited = set()
-        for rest in itertools.product(range(n), repeat=m - 1):
-            if rest in visited:
-                continue
-            visited.update(tuple(map(row.__getitem__, rest))
-                           for row in centralizer)
-            tup = (x,) + rest
-            j = 1
-            while j < len(prefixes) and prefixes[j][0] == tup[j - 1]:
-                j += 1
-            del prefixes[j:]
-            for i in tup[j - 1:]:
-                _, mats, end, span = prefixes[-1]
-                y = group[i]
-                prefixes.append((i, mats + (y,), _extend_end(end, y, d, p),
-                                 _extend_span(span, mats, y, d, p)))
-            _, _, end, span = prefixes[-1]
-            irr = len(span) == d * d
-            ind = _local_split(end, d, p)
-            # irreducible forces indecomposable; anything else is a bug
-            if irr and not ind:
-                raise IdentityError(f"an absolutely irreducible {m}-tuple "
-                                    f"in GL_{d}(F_{p}) is decomposable")
-            orbits += 1
-            abs_irr += irr
-            abs_ind += ind
+    while stack:
+        rows, mats, end, span, pending = stack[-1]
+        i, _ = next(pending, (None, 0))
+        if i is None:
+            stack.pop()
+            continue
+        y = group[i]
+        end_y = _extend_end(end, y, d, p)
+        span_y = _extend_span(span, mats, y, d, p)
+        if len(mats) + 1 < m:
+            stabiliser = [row for row in rows if row[i] == i]
+            stack.append((stabiliser, mats + (y,), end_y, span_y,
+                          iter(_orbits(stabiliser))))
+            continue
+        irr = len(span_y) == d * d
+        ind = _local_split(end_y, d, p)
+        # irreducible forces indecomposable; anything else is a bug
+        if irr and not ind:
+            raise IdentityError(f"an absolutely irreducible {m}-tuple "
+                                f"in GL_{d}(F_{p}) is decomposable")
+        orbits += 1
+        abs_irr += irr
+        abs_ind += ind
+    burnside = sum((n // size) ** (m - 1) for _, size in classes)
+    if orbits != burnside:
+        raise IdentityError(f"swept {orbits} orbits, Burnside: {burnside}")
     return OracleCensus(d=d, p=p, m=m, group_order=n, orbits=orbits,
                         abs_irr=abs_irr, abs_ind=abs_ind)

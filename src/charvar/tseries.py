@@ -59,8 +59,8 @@ class TSeries:
         return TSeries.from_terms(order, {0: 1})
 
     def coeff(self, d: int) -> QPoly:
-        """Coefficient of t^d (zero beyond the truncation order)."""
-        return self.coeffs[d] if d <= self.order else ZERO
+        """Coefficient of t^d (zero for d < 0 and beyond the order)."""
+        return self.coeffs[d] if 0 <= d <= self.order else ZERO
 
     @property
     def constant(self) -> QPoly:

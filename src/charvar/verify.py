@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import factorial
 from typing import NamedTuple
 
-from .arith import divisors, mobius, totient
+from .arith import divisors, is_prime, mobius, totient
 from .combinatorics import (
     IdentityError, SizeGuardError, census_series_checks, connected_weight_poly,
     connected_weight_series, hall_subgroup_counts, limit_transform,
@@ -228,6 +228,9 @@ def run_verification(m: int, dmax: int = None, primes=(2, 3)) -> list:
         dmax = default_dmax(m)
     if dmax < 1:
         raise ValueError("need dmax >= 1")
+    for p in primes:
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
     items = [
         ("rank-1 counts", _check_rank_one),
         ("rank-2 closed forms", _check_rank_two),

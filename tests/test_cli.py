@@ -352,14 +352,94 @@ def test_internal_arithmetic_failures_exit_3(capsys, monkeypatch, error):
 
 
 # sha256 of stdout; the oracle output is rendered from the OracleCensus
-# fields, so renaming or reordering a field changes these bytes
+# fields, so renaming or reordering a field changes these bytes.  The 15
+# oracle boxes run d = 1..3, p = 2..7 and m = 1..17, and include the
+# largest boxes the size guard admits
 OUTPUT_DIGESTS = {
+    ("oracle", "--d", "1", "--p", "2", "--m", "1", "--format", "text"):
+        "36f6607deb19830418cc176e98d07534bcff166713e3063934e73ba853bc4296",
+    ("oracle", "--d", "1", "--p", "2", "--m", "1", "--format", "json"):
+        "43f97252eee1235f77ed46cc012d1b6536ab113bb00380333ea7c78edcd37657",
+    ("oracle", "--d", "1", "--p", "2", "--m", "1", "--format", "csv"):
+        "d56b3a706b0371602eadefe36be8c41d76a32c87dcac03bd36d03f71be19a5b2",
+    ("oracle", "--d", "1", "--p", "3", "--m", "17", "--format", "text"):
+        "ea1dfe4511273646fd389f4ff6bd4ed5d6227680be999d0d84148fd97e687f00",
+    ("oracle", "--d", "1", "--p", "3", "--m", "17", "--format", "json"):
+        "4fc354794967185af0123db0d0068b8961494ae478f974030b303cb958510846",
+    ("oracle", "--d", "1", "--p", "3", "--m", "17", "--format", "csv"):
+        "f2fe5f2a3c77c1b8e60acf475e9d5b7a2fd116101b1e0faac1bcd5c31acd409c",
+    ("oracle", "--d", "1", "--p", "5", "--m", "3", "--format", "text"):
+        "d74d27ccbaf822d559e13c169bc223266ed27d3070e0f34a082b94ca08832d1b",
+    ("oracle", "--d", "1", "--p", "5", "--m", "3", "--format", "json"):
+        "c848e3e6cef5e3b79898a245ed471931aa72222e84e1b6e475d13ebc7b185f12",
+    ("oracle", "--d", "1", "--p", "5", "--m", "3", "--format", "csv"):
+        "83e4044df03629349929f74f44c161b5bb9c4c3d2795d9d60c27003ad7528472",
+    ("oracle", "--d", "1", "--p", "7", "--m", "4", "--format", "text"):
+        "a4a42deef48e14676bbc934b0409f9a9ffc196e593f8894cb027a88eb4380010",
+    ("oracle", "--d", "1", "--p", "7", "--m", "4", "--format", "json"):
+        "a942ec7c80c80dfb614cdc8bee7fc772a206d3625c1065ddbd5e9188374e0f4a",
+    ("oracle", "--d", "1", "--p", "7", "--m", "4", "--format", "csv"):
+        "c15c3d9c5fc2e7ed51d4ea956c687d7d68a4f19105f52cacb07a302760c60b4e",
+    ("oracle", "--d", "2", "--p", "2", "--m", "1", "--format", "text"):
+        "14879a7b5cf5fbf4a644657844f174d55560d78fb973b1e5406106d7507f822b",
+    ("oracle", "--d", "2", "--p", "2", "--m", "1", "--format", "json"):
+        "0d8d9d7e439f7424f56c151d58c59b693b6a1497e702884529e51f3bb9edec31",
+    ("oracle", "--d", "2", "--p", "2", "--m", "1", "--format", "csv"):
+        "dbe2fc309ef92c0937d095b218eec4f07adc286cdd97adb4323a95502a0552fc",
+    ("oracle", "--d", "2", "--p", "2", "--m", "2", "--format", "text"):
+        "0ed40e8dec214b2ac4a384c653e866374e97c4a26847f4bdbc3d15f2e56a8967",
+    ("oracle", "--d", "2", "--p", "2", "--m", "2", "--format", "json"):
+        "d23fa89da406e70816a49cd5570d8a69160df7bd27e09866941e820657928004",
+    ("oracle", "--d", "2", "--p", "2", "--m", "2", "--format", "csv"):
+        "de12081acbe3de5c172949096d1af9a0328ed74448af473f84aad7dc91fde44b",
+    ("oracle", "--d", "2", "--p", "2", "--m", "3", "--format", "text"):
+        "87e7c6bcef0bec2f071bb189b2706215626ae9fb0139c45a1ce3081e51448ed0",
+    ("oracle", "--d", "2", "--p", "2", "--m", "3", "--format", "json"):
+        "9cd65cdbcfc0a754c7319c4d254a6c3acd32935c9f91d31fcf5b3e2ca71eb04f",
+    ("oracle", "--d", "2", "--p", "2", "--m", "3", "--format", "csv"):
+        "cd3385e6f0f448e8ca0a75ed55181b19242c233cd0dce6290b981e851f58c9ba",
+    ("oracle", "--d", "2", "--p", "2", "--m", "4", "--format", "text"):
+        "29e99a36128a50f37db68c13285e03d1cb651a1bf3c56e9d2e6a3da5fd6c89c3",
+    ("oracle", "--d", "2", "--p", "2", "--m", "4", "--format", "json"):
+        "454d4b646816ecb2798cc1ad1a9a4256fc00d4ac0cfe1cae2dd3b91bb9f1aec2",
+    ("oracle", "--d", "2", "--p", "2", "--m", "4", "--format", "csv"):
+        "a4da0a06c54b35832881e7ec84059cf6992f9a5c0079210322f4441897958643",
+    ("oracle", "--d", "2", "--p", "2", "--m", "5", "--format", "text"):
+        "8472e1ae47a49b1d9e29e9eb20480773e529f484b4cfaf5f8f475fa335d287af",
+    ("oracle", "--d", "2", "--p", "2", "--m", "5", "--format", "json"):
+        "0db978e6963b0f91c7fb3cbb78de6f038e10cf431b7ae8b8b6ccdaac641ed779",
+    ("oracle", "--d", "2", "--p", "2", "--m", "5", "--format", "csv"):
+        "302806fc369435cf523e88a6f5a3e4a29e252822cad3b9204d875f770410ab97",
+    ("oracle", "--d", "2", "--p", "2", "--m", "6", "--format", "text"):
+        "04401ef42933600ec165ed0dbc3841e507737cc7dbb5ff84e7428a57cbcb542f",
+    ("oracle", "--d", "2", "--p", "2", "--m", "6", "--format", "json"):
+        "63d9db4ad583244268d2799d8fa7deb3463491f2b8bcb910e878034aaf337e53",
+    ("oracle", "--d", "2", "--p", "2", "--m", "6", "--format", "csv"):
+        "c8bf9d39e0290fe46acf74026e46162aa73a645ee7fcba2a32ed8ca3d1d5d938",
+    ("oracle", "--d", "2", "--p", "3", "--m", "1", "--format", "text"):
+        "d9b563ff1200b77025be26c76708a9e5972c4427534e61444d07a06e0ad935e5",
+    ("oracle", "--d", "2", "--p", "3", "--m", "1", "--format", "json"):
+        "e7f63128434a2a992861e095facd27743f38f4290f5af5856dbeea23e7c7eb8d",
+    ("oracle", "--d", "2", "--p", "3", "--m", "1", "--format", "csv"):
+        "f2eea00bf89d7465c32b77dc2d3d6ab2aa0098f9f3f0b1bf56cefd794ff421fa",
+    ("oracle", "--d", "2", "--p", "3", "--m", "2", "--format", "text"):
+        "4013019b780f594d0d98931fda1d25fcd8273565309e8ae0ea22cf51c91c484b",
+    ("oracle", "--d", "2", "--p", "3", "--m", "2", "--format", "json"):
+        "b6c5d3dec28128f0943f756eac4daa14c5989b2e8eecac2ebcf56a0ce3a3ed9b",
+    ("oracle", "--d", "2", "--p", "3", "--m", "2", "--format", "csv"):
+        "be23ba3ad6d540daea3c89196865d74af571aabf3a7a11506ecfca1bc6aadfc6",
     ("oracle", "--d", "2", "--p", "3", "--m", "3", "--format", "text"):
         "3674248e5d0d8c3ff874ee2af8b359a47b7b77ae77b6569075e58711e9552859",
     ("oracle", "--d", "2", "--p", "3", "--m", "3", "--format", "json"):
         "4a967775060a4964df5c0adfa1301ade6249f6631d9a5195c14b737c63e15128",
     ("oracle", "--d", "2", "--p", "3", "--m", "3", "--format", "csv"):
         "15aacec3a231873819b710c092e7c2db7a4cfad49398738199059d0cddbd4618",
+    ("oracle", "--d", "3", "--p", "2", "--m", "1", "--format", "text"):
+        "27ba5dd4d5e0d438fc3795eb74b066c3b8f65ed5c2d9037a7ae127e28f7fcf3b",
+    ("oracle", "--d", "3", "--p", "2", "--m", "1", "--format", "json"):
+        "0228487008097a30414827b0b29da31588ed99c9529116c139aaeeb0c8cc49e6",
+    ("oracle", "--d", "3", "--p", "2", "--m", "1", "--format", "csv"):
+        "e9f14b3a938a615a0d9754b24b28bc3bebbd0d2d8e628868dc135f3ca6b8aef1",
     ("oracle", "--d", "3", "--p", "2", "--m", "2", "--format", "text"):
         "d645ed7033e796b8abe85539398f5f3c5b3e5b4fcff8ed48ad7167d3667bcb93",
     ("oracle", "--d", "3", "--p", "2", "--m", "2", "--format", "json"):

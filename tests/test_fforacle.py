@@ -11,6 +11,7 @@ import pytest
 
 import charvar
 from charvar import fforacle
+from charvar.cli import main
 from charvar.combinatorics import IdentityError, SizeGuardError
 from charvar.counting import abs_ind_counts, abs_irr_counts, orbit_counts
 from charvar.fforacle import (
@@ -127,6 +128,75 @@ def test_scalar_group_census():
     census = orbit_census(1, 7, 4)
     assert census.group_order == 6
     assert census.orbits == census.abs_irr == census.abs_ind == 6 ** 4
+
+
+def test_census_does_not_recurse_on_deep_tuples():
+    # the stabiliser chain is 3000 frames deep, beyond the recursion limit
+    census = orbit_census(1, 2, 3000)
+    assert (census.orbits, census.abs_irr, census.abs_ind) == (1, 1, 1)
+
+
+def test_census_checks_its_orbit_count_by_burnside(monkeypatch, capsys):
+    # every stabiliser level below the class list loses its last orbit
+    real = fforacle._orbits
+    calls = []
+
+    def lossy(rows):
+        calls.append(len(rows))
+        return real(rows) if len(calls) == 1 else real(rows)[:-1]
+
+    monkeypatch.setattr(fforacle, "_orbits", lossy)
+    assert main(["oracle", "--d", "2", "--p", "2", "--m", "2"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("error: internal identity failure: swept 8 orbits, "
+                       "Burnside: 11\n")
+
+
+def _subspace_local_split(basis, d, p):
+    """Reference locality test: the singular elements of the algebra form
+    a linear subspace of codimension one."""
+    k = len(basis)
+    nonunits = []
+    for coeffs in itertools.product(range(p), repeat=k):
+        e = tuple(sum(c * b[i] for c, b in zip(coeffs, basis)) % p
+                  for i in range(d * d))
+        if mat_det(e, d, p) == 0:
+            nonunits.append(coeffs)
+    _, pivots = fforacle._rref(nonunits, k, p)
+    rank = len(pivots)
+    return len(nonunits) == p ** rank and k - rank == 1
+
+
+def _random_tuple(rng, d, p):
+    """One or two random matrices of one shape: any, upper triangular,
+    unipotent upper triangular, or diagonal."""
+    shape = rng.choice(["any", "upper", "unipotent", "diagonal"])
+
+    def entry(i, j):
+        if (i > j and shape != "any") or (i < j and shape == "diagonal"):
+            return 0
+        if i == j and shape == "unipotent":
+            return 1
+        return rng.randrange(p)
+    return tuple(tuple(entry(i, j) for i in range(d) for j in range(d))
+                 for _ in range(rng.randint(1, 2)))
+
+
+def test_local_split_count_matches_subspace_criterion():
+    rng = random.Random(20261018)
+    local = other = 0
+    for p in (2, 3, 5):
+        for d in (2, 3):
+            for _ in range(60):
+                basis = endomorphism_basis(_random_tuple(rng, d, p), d, p)
+                if p ** len(basis) > 5000:     # keeps each check cheap
+                    continue
+                split = fforacle._local_split(basis, d, p)
+                assert split == _subspace_local_split(basis, d, p), basis
+                local += split
+                other += not split
+    assert local >= 50 and other >= 50, (local, other)
 
 
 def test_size_guards_and_validation():

@@ -133,6 +133,9 @@ def test_coeff_and_truncate():
     f = TSeries(4, [1, 2, 3])
     assert f.coeff(1) == QPoly([2])
     assert f.coeff(9) == ZERO
+    # a power series has no negative powers of t
+    g = TSeries.from_terms(3, {0: 1, 3: 5})
+    assert g.coeff(-1) == ZERO and g.coeff(-5) == ZERO
     assert f.truncate(2) == TSeries(2, [1, 2, 3])
     assert f.truncate(7) == f
 

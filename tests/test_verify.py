@@ -10,6 +10,7 @@ import pytest
 import charvar
 
 from charvar import verify
+from charvar.cli import main
 from charvar.combinatorics import IdentityError, SizeGuardError
 from charvar.verify import (CheckResult, all_passed, rank_two_closed_forms,
                             run_verification)
@@ -77,6 +78,19 @@ def test_invalid_arguments():
         run_verification(0)
     with pytest.raises(ValueError):
         run_verification(2, dmax=0)
+
+
+def test_primes_are_checked_before_any_item(monkeypatch, capsys):
+    def never(m, dmax):
+        raise AssertionError("an item ran before the primes were checked")
+
+    monkeypatch.setattr(verify, "_check_rank_one", never)
+    for primes in [(2, 4), (1,), (0,), (-3,)]:
+        with pytest.raises(ValueError, match=f"p = {primes[-1]} is not prime"):
+            run_verification(3, primes=primes)
+    assert main(["verify", "--m", "3", "--primes", "4"]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: p = 4 is not prime\n")
 
 
 def test_check_result_shape():
