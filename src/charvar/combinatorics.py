@@ -231,37 +231,78 @@ class CensusRow(NamedTuple):
     aut_weight_all: Fraction  # same sum over all orbits; equals (n!)^(m-1)
 
 
+def _orbits(rows: list) -> list:
+    """(least index, size) of each orbit of the group whose elements, as
+    index permutations, are the rows."""
+    seen, out = set(), []
+    for x in range(len(rows[0])):
+        if x not in seen:
+            orbit = {row[x] for row in rows}
+            seen |= orbit
+            out.append((x, len(orbit)))
+    if sum(size for _, size in out) != len(rows[0]):
+        raise IdentityError("orbit sizes do not add up to the group order")
+    return out
+
+
+def _orbit_walk(conj: list, m: int, start, extend):
+    """Yield (state, |stabiliser|) once per conjugation orbit on m-tuples.
+
+    conj[g][x] indexes g x g^-1 in one list of the group's elements.  The
+    walk follows a stabiliser chain: the first entry runs over the class
+    representatives, each next one over the orbit representatives of the
+    stabiliser (the centraliser) of the entries before it, so each orbit
+    is reached once and no visited-tuple set is kept.  extend(state, index)
+    folds a tuple's state from ``start`` one entry at a time, so tuples
+    sharing a prefix share its state, and one explicit stack frame per
+    prefix keeps deep tuples from recursing.  A tuple's stabiliser has
+    order len(rows) / (orbit size of its last entry); the orbit total is
+    checked against Burnside's sum over classes of |centraliser|**(m-1).
+    """
+    classes = _orbits(conj)
+    # frame: stabiliser rows of the prefix, its state, orbits not yet visited
+    stack = [(conj, start, iter(classes))]
+    orbits = 0
+    while stack:
+        rows, state, pending = stack[-1]
+        i, size = next(pending, (None, 0))
+        if i is None:
+            stack.pop()
+            continue
+        state_i = extend(state, i)
+        if len(stack) < m:
+            stabiliser = [row for row in rows if row[i] == i]
+            stack.append((stabiliser, state_i, iter(_orbits(stabiliser))))
+            continue
+        orbits += 1
+        yield state_i, len(rows) // size
+    burnside = sum((len(conj) // size) ** (m - 1) for _, size in classes)
+    if orbits != burnside:
+        raise IdentityError(f"swept {orbits} orbits, Burnside: {burnside}")
+
+
 @lru_cache(maxsize=None)
 def perm_rep_census(n: int, m: int) -> CensusRow:
-    """Brute-force census of S_n^m up to simultaneous conjugation.
-
-    |Aut| of a class is the centralizer order n!/(orbit size); the first
-    tuple met in lexicographic sweep order is each orbit's least element.
-    """
+    """Brute-force census of S_n^m up to simultaneous conjugation, by
+    _orbit_walk; |Aut| of an orbit is its tuple's stabiliser order."""
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
     total = factorial(n) ** m
-    if total > 4_000_000:
+    # the conjugation table alone costs (n!)**2
+    if factorial(n) ** max(m, 2) > 4_000_000:
         raise SizeGuardError(f"census of S_{n}^{m} is too large")
     perms = list(itertools.permutations(range(n)))
-    nfact = len(perms)
-    visited = set()
-    orbit_count = 0
-    transitive_count = 0
-    aut_weight = Fraction(0)
-    aut_weight_all = Fraction(0)
-    for tup in itertools.product(perms, repeat=m):
-        if tup in visited:
-            continue
-        orbit = {tuple(_conj(g, s) for s in tup) for g in perms}
-        visited.update(orbit)
+    index = {s: i for i, s in enumerate(perms)}
+    conj = [tuple(index[_conj(g, s)] for s in perms) for g in perms]
+    orbit_count = transitive_count = 0
+    aut_weight = aut_weight_all = Fraction(0)
+    for tup, aut in _orbit_walk(conj, m, (), lambda tup, i: tup + (perms[i],)):
         orbit_count += 1
-        # |Aut| is the centralizer order n!/|orbit|
-        aut_weight_all += Fraction(1, nfact // len(orbit))
+        aut_weight_all += Fraction(1, aut)
         if _is_transitive(tup, n):
             transitive_count += 1
-            aut_weight += Fraction(1, nfact // len(orbit))
-    if aut_weight_all != Fraction(total, nfact):
+            aut_weight += Fraction(1, aut)
+    if aut_weight_all != Fraction(total, len(perms)):
         raise IdentityError("identity violated")
     return CensusRow(n=n, m=m, total=total, orbit_count=orbit_count,
                      transitive_count=transitive_count, aut_weight=aut_weight,

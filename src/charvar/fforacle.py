@@ -7,12 +7,9 @@ absolutely irreducible or absolutely indecomposable.  Matching the two
 routes at several primes is strong evidence that the symbolic counts are
 polynomials in q evaluated correctly.
 
-The census walks a stabiliser chain: conjugation acts through a table of
-index permutations, composed from the conjugations by a few generators of
-GL_d(F_p); each tuple entry runs over the orbit representatives of the
-stabiliser of the entries before it, so no set of visited tuples is kept;
-and tuples that share a prefix share the linear algebra that classifies
-them.
+The census is the stabiliser-chain walk combinatorics._orbit_walk over a
+conjugation table composed from the conjugations by a few generators of
+GL_d(F_p); tuples that share a prefix share the algebra that classifies them.
 
 Matrices are flat tuples of length d*d with entries reduced mod p, row
 major.  All sizes are deliberately tiny; guards raise SizeGuardError
@@ -27,7 +24,7 @@ import operator
 from typing import NamedTuple
 
 from .arith import factorize, is_prime
-from .combinatorics import IdentityError, SizeGuardError
+from .combinatorics import IdentityError, SizeGuardError, _orbit_walk, _orbits
 
 __all__ = [
     "ConjClass", "OracleCensus", "algebra_span_dim", "burnside_orbit_count",
@@ -109,9 +106,12 @@ def gl_order(d: int, p: int) -> int:
 
 
 def _check_enumerable(d: int, p: int) -> None:
-    _check_dp(d, p)
-    if p ** (d * d) > _ENUM_LIMIT:
+    # sized before primality, whose trial division of a large p never ends;
+    # p**k > _ENUM_LIMIT for every k past its bit length, so d*d is capped
+    k = min(d * d, _ENUM_LIMIT.bit_length())
+    if d >= 1 and p >= 2 and p ** k > _ENUM_LIMIT:
         raise SizeGuardError(f"enumerating {p}**{d * d} matrices is too much")
+    _check_dp(d, p)
 
 
 def gl_enumerate(d: int, p: int) -> list:
@@ -170,21 +170,6 @@ def _conjugation_table(group: list, d: int, p: int) -> list:
         raise IdentityError(f"generators reached {len(reached)} of "
                             f"{len(group)} group elements")
     return conj
-
-
-def _orbits(rows: list) -> list:
-    """(least index, size) of each orbit of the group whose elements, as
-    index permutations, are the rows."""
-    seen = set()
-    out = []
-    for x in range(len(rows[0])):
-        if x not in seen:
-            orbit = {row[x] for row in rows}
-            seen |= orbit
-            out.append((x, len(orbit)))
-    if sum(size for _, size in out) != len(rows[0]):
-        raise IdentityError("orbit sizes do not add up to the group order")
-    return out
 
 
 class ConjClass(NamedTuple):
@@ -404,19 +389,10 @@ class OracleCensus(NamedTuple):
 def orbit_census(d: int, p: int, m: int) -> OracleCensus:
     """Classify every conjugation orbit of m-tuples of invertible matrices.
 
-    The sweep walks a stabiliser chain: the orbits on tuples with a given
-    prefix are the orbits of its stabiliser (the elements commuting with
-    each prefix entry) on the remaining entries.  The first entry runs
-    over the class representatives, each next one over the orbit
-    representatives of the stabiliser of the entries before it, so each
-    orbit is reached and classified once and no visited-tuple set is
-    kept.  An explicit stack holds one frame per prefix, so deep tuples
-    do not recurse; the orbit count is checked against Burnside's count.
-
-    Each frame also holds the commuting algebra End and the echelon span
-    of the algebra generated by its prefix, extended one entry at a time.
-    A tuple is absolutely irreducible when the span is all of M_d, and
-    absolutely indecomposable when End is local with residue field F_p.
+    Along the walk of _orbit_walk each prefix folds in its commuting algebra
+    End and the echelon span of the algebra it generates.  A tuple is
+    absolutely irreducible when the span is all of M_d, and absolutely
+    indecomposable when End is local with residue field F_p.
     """
     if m < 1:
         raise ValueError("need m >= 1")
@@ -426,29 +402,20 @@ def orbit_census(d: int, p: int, m: int) -> OracleCensus:
     if n ** max(m, 2) > _CENSUS_LIMIT:
         raise SizeGuardError(f"sweeping {n}**{max(m, 2)} tuples is too much")
     group = gl_enumerate(d, p)
-    conj = _conjugation_table(group, d, p)
-    classes = _orbits(conj)
-    # frame: (stabiliser rows, prefix, End, span, orbits not yet visited);
+
+    def extend(state, i):
+        mats, end, span = state
+        y = group[i]
+        return (mats + (y,), _extend_end(end, y, d, p),
+                _extend_span(span, mats, y, d, p))
     # the empty prefix commutes with all of M_d and generates F_p * 1
     full_end = [tuple(int(t == s) for t in range(d * d)) for s in range(d * d)]
-    stack = [(conj, (), full_end, [(0, identity(d))], iter(classes))]
+    start = ((), full_end, [(0, identity(d))])
     orbits = abs_irr = abs_ind = 0
-    while stack:
-        rows, mats, end, span, pending = stack[-1]
-        i, _ = next(pending, (None, 0))
-        if i is None:
-            stack.pop()
-            continue
-        y = group[i]
-        end_y = _extend_end(end, y, d, p)
-        span_y = _extend_span(span, mats, y, d, p)
-        if len(mats) + 1 < m:
-            stabiliser = [row for row in rows if row[i] == i]
-            stack.append((stabiliser, mats + (y,), end_y, span_y,
-                          iter(_orbits(stabiliser))))
-            continue
-        irr = len(span_y) == d * d
-        ind = _local_split(end_y, d, p)
+    for (_, end, span), _ in _orbit_walk(_conjugation_table(group, d, p), m,
+                                         start, extend):
+        irr = len(span) == d * d
+        ind = _local_split(end, d, p)
         # irreducible forces indecomposable; anything else is a bug
         if irr and not ind:
             raise IdentityError(f"an absolutely irreducible {m}-tuple "
@@ -456,8 +423,5 @@ def orbit_census(d: int, p: int, m: int) -> OracleCensus:
         orbits += 1
         abs_irr += irr
         abs_ind += ind
-    burnside = sum((n // size) ** (m - 1) for _, size in classes)
-    if orbits != burnside:
-        raise IdentityError(f"swept {orbits} orbits, Burnside: {burnside}")
     return OracleCensus(d=d, p=p, m=m, group_order=n, orbits=orbits,
                         abs_irr=abs_irr, abs_ind=abs_ind)

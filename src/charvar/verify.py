@@ -25,7 +25,7 @@ from .counting import (
     default_dmax, e_polynomial, euler_characteristics, orbit_counts,
     orbit_series, qpochhammer_series, rep_counts, rep_series, s_positive,
 )
-from .fforacle import orbit_census
+from .fforacle import _ENUM_LIMIT, orbit_census
 from .plethystic import Exp, Log, irreducible_poly_count, pow_product, Pow
 from .qpoly import ONE, QPoly, q
 from .tseries import TSeries
@@ -229,7 +229,8 @@ def run_verification(m: int, dmax: int = None, primes=(2, 3)) -> list:
     if dmax < 1:
         raise ValueError("need dmax >= 1")
     for p in primes:
-        if not is_prime(p):
+        # past the d = 1 enumeration bound its oracle item skips by size guard
+        if p <= _ENUM_LIMIT and not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
     items = [
         ("rank-1 counts", _check_rank_one),

@@ -463,6 +463,57 @@ def test_oracle_and_permstats_bytes_pinned(capsys, argv):
         OUTPUT_DIGESTS[argv]
 
 
+# sha256 of verify's JSON report; both runs include the permutation census,
+# the first is the benchmark's verify-suite command
+VERIFY_DIGESTS = {
+    ("verify", "--m", "2", "--dmax", "16", "--primes", "", "--format",
+     "json"):
+        "82fc16f1a3da3563ef9a752b069cb4d6c6926daac3e9d6196549d7659f480395",
+    ("verify", "--m", "3", "--format", "json"):
+        "1bf10f4b43ed9c4545187b61e6fb63ff7bd2f78fc9c7d48690b7658eb32851af",
+}
+
+
+@pytest.mark.parametrize("argv", list(VERIFY_DIGESTS), ids=" ".join)
+def test_verify_bytes_pinned(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        VERIFY_DIGESTS[argv]
+
+
+def _cli(*argv):
+    """Run the CLI in a fresh interpreter; a hang fails by timeout."""
+    src = str(Path(charvar.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from charvar.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *argv],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+        text=True, timeout=60)
+
+
+def test_large_p_is_sized_before_its_primality_is_decided():
+    # trial division of this prime would not end; the size guard comes first
+    big = "100000000000000000039"
+    done = _cli("oracle", "--d", "1", "--p", big, "--m", "1")
+    assert (done.returncode, done.stdout) == (4, "")
+    assert done.stderr == f"error: enumerating {big}**1 matrices is too much\n"
+    done = _cli("oracle", "--d", "1", "--p", "1000000", "--m", "1")
+    assert done.returncode == 4, done.stderr
+    # a p past the bound, prime or not, skips its oracle item
+    done = _cli("verify", "--m", "1", "--dmax", "1", "--primes",
+                f"{big},1000000", "--format", "json")
+    assert done.returncode == 0, done.stderr
+    oracle = json.loads(done.stdout)["checks"][-2:]
+    assert [c["name"] for c in oracle] == [
+        f"finite field oracle p={big}", "finite field oracle p=1000000"]
+    assert all(c["skipped"] and not c["passed"] for c in oracle)
+    assert oracle[0]["detail"] == (
+        f"skipped: size guard at d = 1: enumerating {big}**1 matrices is "
+        "too much")
+
+
 def test_size_guard_exit_code(capsys):
     code, _, err = run(capsys, "oracle", "--d", "3", "--p", "5", "--m", "2")
     assert code == 4 and "error" in err

@@ -1,17 +1,21 @@
 """Permutation statistics, subgroup counts, census identities."""
 
+import itertools
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+from charvar import combinatorics
 from charvar.combinatorics import (
-    CensusRow, SizeGuardError, _invariant_prefixes, census_series_checks,
-    connected_tuples, connected_weight_poly, connected_weight_series,
-    hall_subgroup_counts, inversions, is_connected, length_gen_poly,
-    limit_transform, perm_rep_census, q_factorial, q_int, subgroup_counts,
+    CensusRow, IdentityError, SizeGuardError, _conj, _invariant_prefixes,
+    _is_transitive, census_series_checks, connected_tuples,
+    connected_weight_poly, connected_weight_series, hall_subgroup_counts,
+    inversions, is_connected, length_gen_poly, limit_transform,
+    perm_rep_census, q_factorial, q_int, subgroup_counts,
 )
 from charvar.qpoly import ONE, q
+from charvar.verify import run_verification
 
 
 def largest_invariant_prefix(tup, n):
@@ -146,6 +150,68 @@ def test_census_degree_1_and_3():
     assert row3.aut_weight_all == factorial(3)
 
 
+def _visited_set_census(n, m):
+    """Reference census: sweep all of S_n^m with one visited set and
+    conjugate each new tuple by every permutation; |Aut| is n!/|orbit|."""
+    perms = list(itertools.permutations(range(n)))
+    visited = set()
+    orbit_count = transitive_count = 0
+    aut_weight = aut_weight_all = Fraction(0)
+    for tup in itertools.product(perms, repeat=m):
+        if tup in visited:
+            continue
+        orbit = {tuple(_conj(g, s) for s in tup) for g in perms}
+        visited.update(orbit)
+        orbit_count += 1
+        aut_weight_all += Fraction(len(orbit), len(perms))
+        if _is_transitive(tup, n):
+            transitive_count += 1
+            aut_weight += Fraction(len(orbit), len(perms))
+    return CensusRow(n=n, m=m, total=len(perms) ** m, orbit_count=orbit_count,
+                     transitive_count=transitive_count, aut_weight=aut_weight,
+                     aut_weight_all=aut_weight_all)
+
+
+def test_census_matches_visited_set_sweep():
+    grid = [(n, m) for n in range(1, 5) for m in range(1, 4)]
+    for n, m in grid + [(5, 2), (2, 4), (3, 4)]:
+        assert perm_rep_census(n, m) == _visited_set_census(n, m), (n, m)
+
+
+def test_census_rows_beyond_the_reference_sweep():
+    # taken from the visited-set sweep, which needs seconds on these two
+    assert perm_rep_census(4, 4) == CensusRow(
+        n=4, m=4, total=331776, orbit_count=14491, transitive_count=14120,
+        aut_weight=Fraction(54335, 4), aut_weight_all=Fraction(13824))
+    assert perm_rep_census(5, 3) == CensusRow(
+        n=5, m=3, total=1728000, orbit_count=14721, transitive_count=13753,
+        aut_weight=Fraction(68641, 5), aut_weight_all=Fraction(14400))
+
+
+def test_census_checks_its_orbit_count_by_burnside(monkeypatch):
+    # every stabiliser level below the class list loses its last orbit
+    real = combinatorics._orbits
+    calls = []
+
+    def lossy(rows):
+        calls.append(len(rows))
+        return real(rows) if len(calls) == 1 else real(rows)[:-1]
+
+    perm_rep_census.cache_clear()
+    monkeypatch.setattr(combinatorics, "_orbits", lossy)
+    try:
+        with pytest.raises(IdentityError,
+                           match=r"^swept 8 orbits, Burnside: 11$"):
+            perm_rep_census(3, 2)
+        calls.clear()
+        checks = run_verification(2, dmax=1, primes=())
+        census = next(c for c in checks if c.name == "permutation census")
+        assert (census.passed, census.skipped) == (False, False)
+        assert census.detail == "swept 0 orbits, Burnside: 1"
+    finally:
+        perm_rep_census.cache_clear()
+
+
 def test_census_exponential_identities():
     checks = census_series_checks(4, 2)
     assert checks == {"weighted_exp": True, "plethystic_exp": True,
@@ -155,5 +221,8 @@ def test_census_exponential_identities():
 def test_size_guards():
     with pytest.raises(SizeGuardError):
         perm_rep_census(6, 3)
+    # one generator still pays for the (n!)**2 conjugation table
+    with pytest.raises(SizeGuardError, match=r"^census of S_7\^1 is too"):
+        perm_rep_census(7, 1)
     with pytest.raises(SizeGuardError):
         connected_tuples(8, 3)

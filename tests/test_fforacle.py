@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import charvar
-from charvar import fforacle
+from charvar import combinatorics, fforacle
 from charvar.cli import main
 from charvar.combinatorics import IdentityError, SizeGuardError
 from charvar.counting import abs_ind_counts, abs_irr_counts, orbit_counts
@@ -138,14 +138,14 @@ def test_census_does_not_recurse_on_deep_tuples():
 
 def test_census_checks_its_orbit_count_by_burnside(monkeypatch, capsys):
     # every stabiliser level below the class list loses its last orbit
-    real = fforacle._orbits
+    real = combinatorics._orbits
     calls = []
 
     def lossy(rows):
         calls.append(len(rows))
         return real(rows) if len(calls) == 1 else real(rows)[:-1]
 
-    monkeypatch.setattr(fforacle, "_orbits", lossy)
+    monkeypatch.setattr(combinatorics, "_orbits", lossy)
     assert main(["oracle", "--d", "2", "--p", "2", "--m", "2"]) == 3
     out = capsys.readouterr()
     assert out.out == ""
