@@ -43,6 +43,23 @@ class IdentityError(ArithmeticError):
     """A brute-force computation contradicted an identity it must satisfy."""
 
 
+def _exceeds(factors: Iterable[int], length: int, limit: int) -> bool:
+    """prod(factors)**length > limit or length > limit, for length >= 1,
+    without building either number: factors are multiplied in one at a
+    time up to the first partial product past the limit."""
+    base = 1
+    for f in factors:
+        base *= f
+        if base > limit:
+            return True
+    power = 1
+    for _ in range(length if base > 1 else 0):   # 1**length never passes
+        power *= base
+        if power > limit:
+            return True
+    return length > limit
+
+
 # -- inversion statistics ------------------------------------------------------
 
 
@@ -102,7 +119,7 @@ def connected_tuples(n: int, m: int) -> List[PermTuple]:
     """All connected (m-1)-tuples in S_n^(m-1), lexicographic order."""
     if n < 1 or m < 2:
         raise ValueError("connected tuples need n >= 1 and m >= 2")
-    if factorial(n) ** (m - 1) > 400_000:
+    if _exceeds(range(1, n + 1), m - 1, 400_000):
         raise SizeGuardError(f"S_{n}^{m - 1} is too large to enumerate")
     perms = list(itertools.permutations(range(n)))
     return [tup for tup in itertools.product(perms, repeat=m - 1)
@@ -287,10 +304,10 @@ def perm_rep_census(n: int, m: int) -> CensusRow:
     _orbit_walk; |Aut| of an orbit is its tuple's stabiliser order."""
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
-    total = factorial(n) ** m
     # the conjugation table alone costs (n!)**2
-    if factorial(n) ** max(m, 2) > 4_000_000:
+    if _exceeds(range(1, n + 1), max(m, 2), 4_000_000):
         raise SizeGuardError(f"census of S_{n}^{m} is too large")
+    total = factorial(n) ** m
     perms = list(itertools.permutations(range(n)))
     index = {s: i for i, s in enumerate(perms)}
     conj = [tuple(index[_conj(g, s)] for s in perms) for g in perms]

@@ -12,9 +12,10 @@ conjugation table composed from the conjugations by a few generators of
 GL_d(F_p); tuples that share a prefix share the algebra that classifies them.
 
 Matrices are flat tuples of length d*d with entries reduced mod p, row
-major.  All sizes are deliberately tiny; guards raise SizeGuardError
-before anything expensive starts, and an internal count that contradicts
-group theory raises IdentityError.
+major, and the echelon basis of _echelon_add is their one row reduction
+besides mat_det.  All sizes are deliberately tiny; guards raise
+SizeGuardError before anything expensive starts, and an internal count
+that contradicts group theory raises IdentityError.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import operator
 from typing import NamedTuple
 
 from .arith import factorize, is_prime
-from .combinatorics import IdentityError, SizeGuardError, _orbit_walk, _orbits
+from .combinatorics import (IdentityError, SizeGuardError, _exceeds,
+                            _orbit_walk, _orbits)
 
 __all__ = [
     "ConjClass", "OracleCensus", "algebra_span_dim", "burnside_orbit_count",
@@ -37,13 +39,6 @@ __all__ = [
 _ENUM_LIMIT = 100_000
 _CLASS_LIMIT = 2_000
 _CENSUS_LIMIT = 200_000
-
-
-def _check_dp(d: int, p: int) -> None:
-    if d < 1:
-        raise ValueError("dimension must be at least 1")
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
 
 
 def identity(d: int) -> tuple:
@@ -83,21 +78,23 @@ def mat_det(a: tuple, d: int, p: int) -> int:
 
 
 def mat_inv(a: tuple, d: int, p: int) -> tuple:
-    """Inverse of an invertible matrix over F_p.
+    """Inverse of an invertible matrix over F_p, else ZeroDivisionError.
 
-    Raises ZeroDivisionError if the matrix is singular.
+    The kernel of [A | -I] has free columns d..2d-1; its vector with 1 at
+    d + j and 0 at the other free columns is (A^-1 e_j, e_j).
     """
-    one = identity(d)
-    rows, pivots = _rref([a[i * d:(i + 1) * d] + one[i * d:(i + 1) * d]
-                          for i in range(d)], d, p)
-    if len(pivots) < d:
+    if mat_det(a, d, p) == 0:
         raise ZeroDivisionError("matrix is singular")
-    return tuple(x for row in rows for x in row[d:])
+    minus_one = tuple(-x % p for x in identity(d))
+    cols = _nullspace([a[i * d:(i + 1) * d] + minus_one[i * d:(i + 1) * d]
+                       for i in range(d)], 2 * d, p)
+    return tuple(col[i] for i in range(d) for col in cols)
 
 
 def gl_order(d: int, p: int) -> int:
-    """Order of the group of invertible d-by-d matrices over F_p."""
-    _check_dp(d, p)
+    """Order of GL_d(F_p), the invertible d-by-d matrices over F_p; past
+    the enumerable box p**(d*d) <= 100000 it raises SizeGuardError."""
+    _check_enumerable(d, p)
     q = p ** d
     out = 1
     for i in range(d):
@@ -106,22 +103,23 @@ def gl_order(d: int, p: int) -> int:
 
 
 def _check_enumerable(d: int, p: int) -> None:
-    # sized before primality, whose trial division of a large p never ends;
-    # p**k > _ENUM_LIMIT for every k past its bit length, so d*d is capped
-    k = min(d * d, _ENUM_LIMIT.bit_length())
-    if d >= 1 and p >= 2 and p ** k > _ENUM_LIMIT:
+    # sized before primality, whose trial division of a large p never ends
+    if d >= 1 and p >= 2 and _exceeds((p,), d * d, _ENUM_LIMIT):
         raise SizeGuardError(f"enumerating {p}**{d * d} matrices is too much")
-    _check_dp(d, p)
+    if d < 1:
+        raise ValueError("dimension must be at least 1")
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
 
 
 def gl_enumerate(d: int, p: int) -> list:
     """All invertible d-by-d matrices over F_p, in lexicographic order."""
-    _check_enumerable(d, p)
+    n = gl_order(d, p)
     out = [a for a in itertools.product(range(p), repeat=d * d)
            if mat_det(a, d, p) != 0]
-    if len(out) != gl_order(d, p):
+    if len(out) != n:
         raise IdentityError(f"found {len(out)} invertible matrices, "
-                            f"expected {gl_order(d, p)}")
+                            f"expected {n}")
     return out
 
 
@@ -180,7 +178,6 @@ class ConjClass(NamedTuple):
 
 def conjugacy_classes(d: int, p: int) -> list:
     """Conjugacy classes of the invertible matrices, lex-least reps first."""
-    _check_enumerable(d, p)
     n = gl_order(d, p)
     if n > _CLASS_LIMIT:
         raise SizeGuardError(f"group of order {n} exceeds the class limit")
@@ -201,44 +198,6 @@ def burnside_orbit_count(d: int, p: int, m: int) -> int:
     return sum(c.centralizer_order ** (m - 1) for c in conjugacy_classes(d, p))
 
 
-def _rref(rows, ncols: int, p: int):
-    """Reduced row echelon form; returns (rows, pivot columns)."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
-
-
-def _nullspace(rows, ncols: int, p: int) -> list:
-    red, pivots = _rref(rows, ncols, p)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [0] * ncols
-        v[free] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = (-red[i][free]) % p
-        basis.append(tuple(v))
-    return basis
-
-
 def _echelon_add(basis: list, vec, p: int):
     """Reduce vec by the (pivot, row) basis; append and return it if new.
 
@@ -257,6 +216,28 @@ def _echelon_add(basis: list, vec, p: int):
     row = tuple((x * inv) % p for x in v)
     basis.append((piv, row))
     return row
+
+
+def _nullspace(rows, ncols: int, p: int) -> list:
+    """Kernel basis of the rows: per free column, the vector with 1 there
+    and 0 at the other free columns.  The pivot entries are set by
+    back-substitution through the _echelon_add basis in reverse insertion
+    order: a row is zero before its pivot and at every earlier row's
+    pivot, so the later pivots it reads are already set."""
+    basis = []
+    for row in rows:
+        _echelon_add(basis, row, p)
+    pivots = {piv for piv, _ in basis}
+    out = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [0] * ncols
+        v[free] = 1
+        for piv, row in reversed(basis):
+            v[piv] = -sum(map(operator.mul, row, v)) % p
+        out.append(tuple(v))
+    return out
 
 
 def algebra_span_dim(mats, d: int, p: int) -> int:
@@ -396,18 +377,19 @@ def orbit_census(d: int, p: int, m: int) -> OracleCensus:
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    _check_enumerable(d, p)
     n = gl_order(d, p)
     # the conjugation index table alone costs n**2
-    if n ** max(m, 2) > _CENSUS_LIMIT:
+    if _exceeds((n,), max(m, 2), _CENSUS_LIMIT):
         raise SizeGuardError(f"sweeping {n}**{max(m, 2)} tuples is too much")
     group = gl_enumerate(d, p)
 
     def extend(state, i):
         mats, end, span = state
         y = group[i]
-        return (mats + (y,), _extend_end(end, y, d, p),
-                _extend_span(span, mats, y, d, p))
+        span = _extend_span(span, mats, y, d, p)
+        # _extend_span returns a full span at once, without reading mats
+        return (mats + (y,) if len(span) < d * d else (),
+                _extend_end(end, y, d, p), span)
     # the empty prefix commutes with all of M_d and generates F_p * 1
     full_end = [tuple(int(t == s) for t in range(d * d)) for s in range(d * d)]
     start = ((), full_end, [(0, identity(d))])

@@ -482,7 +482,7 @@ def test_verify_bytes_pinned(capsys, argv):
         VERIFY_DIGESTS[argv]
 
 
-def _cli(*argv):
+def _cli(*argv, timeout=60):
     """Run the CLI in a fresh interpreter; a hang fails by timeout."""
     src = str(Path(charvar.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -490,7 +490,7 @@ def _cli(*argv):
         [sys.executable, "-c", "import sys; from charvar.cli import main; "
          "sys.exit(main(sys.argv[1:]))", *argv],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True,
-        text=True, timeout=60)
+        text=True, timeout=timeout)
 
 
 def test_large_p_is_sized_before_its_primality_is_decided():
@@ -512,6 +512,23 @@ def test_large_p_is_sized_before_its_primality_is_decided():
     assert oracle[0]["detail"] == (
         f"skipped: size guard at d = 1: enumerating {big}**1 matrices is "
         "too much")
+
+
+@pytest.mark.parametrize("argv, err", [
+    ("oracle --d 2 --p 3 --m 10000000", "sweeping 48**10000000 tuples"),
+    ("oracle --d 2 --p 3 --m 100000000", "sweeping 48**100000000 tuples"),
+    ("permstats --m 10000000 --n 3", "S_3^9999999"),
+    ("permstats --m 100000000 --n 3", "S_3^99999999"),
+    ("permstats --m 2 --n 1000000", "S_1000000^1"),
+    # a group of order 1 is bounded by the tuple length alone
+    ("oracle --d 1 --p 2 --m 200001", "sweeping 1**200001 tuples"),
+    ("permstats --n 1 --m 400002", "S_1^400001"),
+])
+def test_size_guards_never_build_the_bounded_number(argv, err):
+    done = _cli(*argv.split(), timeout=20)
+    assert (done.returncode, done.stdout) == (4, "")
+    assert done.stderr == f"error: {err} is too " + (
+        "much\n" if argv.startswith("oracle") else "large to enumerate\n")
 
 
 def test_size_guard_exit_code(capsys):

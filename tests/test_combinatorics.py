@@ -226,3 +226,26 @@ def test_size_guards():
         perm_rep_census(7, 1)
     with pytest.raises(SizeGuardError):
         connected_tuples(8, 3)
+    # the tuple length is bounded by the same limit, even for S_1
+    with pytest.raises(SizeGuardError, match=r"^census of S_1\^4000001 "):
+        perm_rep_census(1, 4_000_001)
+    assert connected_tuples(1, 400_001) == [((0,),) * 400_000]
+    with pytest.raises(SizeGuardError, match=r"^S_1\^400001 is too large"):
+        connected_tuples(1, 400_002)
+    # n! is never built: this one would take seconds
+    with pytest.raises(SizeGuardError, match=r"^census of S_1000000\^1 "):
+        perm_rep_census(1_000_000, 1)
+
+
+def test_exceeds_compares_the_power_without_building_it():
+    for limit in (1, 2, 342, 343, 100_000):
+        for base in range(1, 60):
+            for length in range(1, 25):
+                want = base ** length > limit or length > limit
+                assert combinatorics._exceeds(
+                    (base,), length, limit) == want, (base, length, limit)
+    assert combinatorics._exceeds(range(1, 9), 1, 40_320) is False  # 8!
+    assert combinatorics._exceeds(range(1, 9), 1, 40_319) is True
+    assert combinatorics._exceeds(range(1, 10 ** 12), 10 ** 12, 10) is True
+    assert combinatorics._exceeds((1,) * 5, 200_000, 200_000) is False
+    assert combinatorics._exceeds((1,), 200_001, 200_000) is True

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -136,6 +137,19 @@ def test_census_does_not_recurse_on_deep_tuples():
     assert (census.orbits, census.abs_irr, census.abs_ind) == (1, 1, 1)
 
 
+def test_census_state_is_linear_in_the_tuple_length():
+    # once the span is all of M_d the prefix is no longer carried; with it,
+    # the frames of this chain held 18 million matrix references
+    tracemalloc.start()
+    try:
+        census = orbit_census(1, 2, 6000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (census.orbits, census.abs_irr, census.abs_ind) == (1, 1, 1)
+    assert peak < 16 * 2 ** 20, peak
+
+
 def test_census_checks_its_orbit_count_by_burnside(monkeypatch, capsys):
     # every stabiliser level below the class list loses its last orbit
     real = combinatorics._orbits
@@ -163,8 +177,7 @@ def _subspace_local_split(basis, d, p):
                   for i in range(d * d))
         if mat_det(e, d, p) == 0:
             nonunits.append(coeffs)
-    _, pivots = fforacle._rref(nonunits, k, p)
-    rank = len(pivots)
+    rank = k - len(fforacle._nullspace(nonunits, k, p))
     return len(nonunits) == p ** rank and k - rank == 1
 
 
@@ -199,6 +212,125 @@ def test_local_split_count_matches_subspace_criterion():
     assert local >= 50 and other >= 50, (local, other)
 
 
+def _rref_reference(rows, ncols, p):
+    """Reduced row echelon form by a full Gauss-Jordan pass; returns
+    (rows, pivot columns).  The row reduction the oracle used before its
+    kernels were read from the _echelon_add basis."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        rows[r] = [(x * inv) % p for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+def _nullspace_reference(rows, ncols, p):
+    red, pivots = _rref_reference(rows, ncols, p)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [0] * ncols
+        v[free] = 1
+        for i, pc in enumerate(pivots):
+            v[pc] = (-red[i][free]) % p
+        basis.append(tuple(v))
+    return basis
+
+
+def _mat_inv_reference(a, d, p):
+    one = identity(d)
+    rows, pivots = _rref_reference(
+        [a[i * d:(i + 1) * d] + one[i * d:(i + 1) * d] for i in range(d)],
+        d, p)
+    if len(pivots) < d:
+        raise ZeroDivisionError("matrix is singular")
+    return tuple(x for row in rows for x in row[d:])
+
+
+def _random_rows(rng, nrows, ncols, p):
+    """Rows with many zero entries, repeats and combinations of earlier
+    rows, so that the rank is often deficient."""
+    rows = []
+    for _ in range(nrows):
+        kind = rng.choice(["random", "sparse", "zero", "repeat", "combine"])
+        if kind == "random" or (kind in ("repeat", "combine") and not rows):
+            rows.append([rng.randrange(p) for _ in range(ncols)])
+        elif kind == "sparse":
+            rows.append([rng.randrange(p) if rng.random() < 0.3 else 0
+                         for _ in range(ncols)])
+        elif kind == "zero":
+            rows.append([0] * ncols)
+        elif kind == "repeat":
+            rows.append(list(rng.choice(rows)))
+        else:
+            a, b = rng.choice(rows), rng.choice(rows)
+            s, t = rng.randrange(p), rng.randrange(p)
+            rows.append([(s * x + t * y) % p for x, y in zip(a, b)])
+    return rows
+
+
+def test_nullspace_matches_gauss_jordan_reference():
+    rng = random.Random(20261019)
+    deficient = full = 0
+    for p in (2, 3, 5, 7):
+        for nrows in range(9):
+            for ncols in range(1, 10):
+                for _ in range(3):
+                    rows = _random_rows(rng, nrows, ncols, p)
+                    want = _nullspace_reference(rows, ncols, p)
+                    assert fforacle._nullspace(rows, ncols, p) == want, rows
+                    rank = ncols - len(want)
+                    full += rank == min(nrows, ncols)
+                    deficient += rank < min(nrows, ncols)
+    assert full >= 200 and deficient >= 200, (full, deficient)
+
+
+def test_mat_inv_matches_gauss_jordan_reference():
+    rng = random.Random(20261019)
+    cases = [(a, 2, 3) for a in itertools.product(range(3), repeat=4)]
+    cases += [(tuple(rng.randrange(p) for _ in range(9)), 3, p)
+              for p in (5, 7) for _ in range(100)]
+    cases += [((1, 2, 3, 2, 4, 6, 0, 1, 1), 3, 7), ((0,) * 9, 3, 5)]
+    singular = 0
+    for a, d, p in cases:
+        try:
+            want = _mat_inv_reference(a, d, p)
+        except ZeroDivisionError:
+            singular += 1
+            with pytest.raises(ZeroDivisionError, match="matrix is singular"):
+                mat_inv(a, d, p)
+        else:
+            assert mat_inv(a, d, p) == want, (a, d, p)
+    # 81 - 48 singular 2x2 over F_3, two fixed 3x3, some random ones
+    assert singular > 33 + 2, singular
+
+
+def test_endomorphism_basis_matches_gauss_jordan_reference(monkeypatch):
+    # endomorphism_basis builds its rows as before; only the kernel changed
+    rng = random.Random(20261019)
+    cases = [(_random_tuple(rng, d, p) + _random_tuple(rng, d, p)[
+        :rng.randint(0, 1)], d, p) for p in (2, 3, 5) for d in (1, 2, 3)
+        for _ in range(30)]
+    got = [endomorphism_basis(mats, d, p) for mats, d, p in cases]
+    monkeypatch.setattr(fforacle, "_nullspace", _nullspace_reference)
+    assert got == [endomorphism_basis(mats, d, p) for mats, d, p in cases]
+    assert {len(mats) for mats, _, _ in cases} == {1, 2, 3}
+
+
 def test_size_guards_and_validation():
     with pytest.raises(SizeGuardError):
         gl_enumerate(3, 5)
@@ -210,6 +342,18 @@ def test_size_guards_and_validation():
         gl_order(2, 4)
     with pytest.raises(ValueError):
         gl_order(0, 3)
+    with pytest.raises(SizeGuardError):
+        gl_order(2, 19)
+
+
+def test_gl_order_sizes_p_before_testing_its_primality(monkeypatch):
+    # trial division of this prime would not end
+    def no_primality(p):
+        raise AssertionError("is_prime called before the size guard")
+
+    monkeypatch.setattr(fforacle, "is_prime", no_primality)
+    with pytest.raises(SizeGuardError, match="matrices is too much"):
+        gl_order(1, 100000000000000000039)
     with pytest.raises(ValueError):
         orbit_census(2, 2, 0)
 
