@@ -24,8 +24,7 @@ from .counting import (
     positivity_report, rep_counts, rep_series, s_positive, uv_str,
 )
 from .fforacle import (
-    ConjClass, OracleCensus, burnside_orbit_count, conjugacy_classes,
-    gl_enumerate, gl_order, is_absolutely_indecomposable,
+    OracleCensus, gl_enumerate, gl_order, is_absolutely_indecomposable,
     is_absolutely_irreducible, orbit_census,
 )
 from .plethystic import Exp, Log, Pow, irreducible_poly_count, pow_product
@@ -39,21 +38,20 @@ from .verify import CheckResult, all_passed, run_verification
 __version__ = "0.1.0"
 
 __all__ = [
-    "CensusRow", "CharVarTable", "CheckResult", "ConjClass",
-    "ExactDivisionError", "Exp", "IdentityError", "IntegralityError", "Log",
-    "OracleCensus", "PoleError", "PositivityReport", "Pow", "QPoly",
-    "SizeGuardError", "TSeries", "TableRow", "abs_ind_counts",
-    "abs_ind_series", "abs_irr_counts", "abs_irr_series", "all_passed",
-    "build_table", "burnside_orbit_count", "census_series_checks",
-    "centralizer_weight", "class_weight_series", "conjugacy_classes",
-    "connected_tuples", "connected_weight_poly", "connected_weight_series",
-    "default_dmax", "divisors", "e_polynomial", "euler_characteristics",
-    "expand_in_s", "factorize", "gl_enumerate", "gl_order",
-    "hall_subgroup_counts", "inversions", "irreducible_poly_count",
-    "is_absolutely_indecomposable", "is_absolutely_irreducible", "is_prime",
-    "length_gen_poly", "limit_at_1", "limit_transform", "mobius",
-    "orbit_census", "orbit_counts", "orbit_series", "partitions",
-    "perm_rep_census", "poly_str", "positivity_report", "pow_product", "q",
-    "q_factorial", "q_int", "ratio", "rep_counts", "rep_series",
-    "run_verification", "s_positive", "subgroup_counts", "totient", "uv_str",
+    "CensusRow", "CharVarTable", "CheckResult", "ExactDivisionError", "Exp",
+    "IdentityError", "IntegralityError", "Log", "OracleCensus", "PoleError",
+    "PositivityReport", "Pow", "QPoly", "SizeGuardError", "TSeries",
+    "TableRow", "abs_ind_counts", "abs_ind_series", "abs_irr_counts",
+    "abs_irr_series", "all_passed", "build_table", "census_series_checks",
+    "centralizer_weight", "class_weight_series", "connected_tuples",
+    "connected_weight_poly", "connected_weight_series", "default_dmax",
+    "divisors", "e_polynomial", "euler_characteristics", "expand_in_s",
+    "factorize", "gl_enumerate", "gl_order", "hall_subgroup_counts",
+    "inversions", "irreducible_poly_count", "is_absolutely_indecomposable",
+    "is_absolutely_irreducible", "is_prime", "length_gen_poly", "limit_at_1",
+    "limit_transform", "mobius", "orbit_census", "orbit_counts",
+    "orbit_series", "partitions", "perm_rep_census", "poly_str",
+    "positivity_report", "pow_product", "q", "q_factorial", "q_int", "ratio",
+    "rep_counts", "rep_series", "run_verification", "s_positive",
+    "subgroup_counts", "totient", "uv_str",
 ]

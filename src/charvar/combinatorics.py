@@ -14,6 +14,9 @@ Three strands, all exact:
     i.e. degree-n actions of the free group: orbit counts, transitive
     classes, and automorphism weights, cross-checked against the subgroup
     counts and two exponential identities.
+
+Both brute-force censuses, this one and fforacle.orbit_census, build their
+table with _group_table and walk it with _orbit_walk.
 """
 
 from __future__ import annotations
@@ -216,14 +219,6 @@ def limit_transform(m: int, nmax: int) -> List[Fraction]:
 # -- the census of symmetric-group representations ------------------------------
 
 
-def _conj(g: Perm, s: Perm) -> Perm:
-    # g . s . g^-1 in one-line notation
-    out = [0] * len(g)
-    for i, si in enumerate(s):
-        out[g[i]] = g[si]
-    return tuple(out)
-
-
 def _is_transitive(tup: PermTuple, n: int) -> bool:
     # orbit of 0 under the generated subgroup; forward closure suffices
     seen = {0}
@@ -260,6 +255,39 @@ def _orbits(rows: list) -> list:
     if sum(size for _, size in out) != len(rows[0]):
         raise IdentityError("orbit sizes do not add up to the group order")
     return out
+
+
+def _group_table(one, gens: list, mul, order: int):
+    """(group, conj) of the group of the given order that gens generate:
+    group[0] is one, and conj[g][x] indexes group[g] x group[g]^-1.
+
+    A breadth-first pass of left multiplication by the generators lists
+    the group and records a spanning tree of its Cayley graph.  Only the
+    generators are conjugated by products; every other row is composed
+    along the tree, since (s h) x (s h)^-1 = s (h x h^-1) s^-1 gives
+    conj[s h] = perm_s o conj[h], one list lookup per entry.
+    """
+    group, index, tree = [one], {one: 0}, []
+    for h, x in enumerate(group):    # grows while it is read: breadth first
+        for s, gen in enumerate(gens):
+            y = mul(gen, x)
+            if y not in index:
+                index[y] = len(group)
+                group.append(y)
+                tree.append((s, h))
+    if len(group) != order:
+        raise IdentityError(f"generators reached {len(group)} of "
+                            f"{order} group elements")
+    perms = []
+    for gen in gens:
+        inv, power = one, gen        # gen^-1 is the power just before one
+        while power != one:
+            inv, power = power, mul(gen, power)
+        perms.append(tuple(index[mul(mul(gen, x), inv)] for x in group))
+    conj = [tuple(range(order))]
+    for s, h in tree:
+        conj.append(tuple(map(perms[s].__getitem__, conj[h])))
+    return group, conj
 
 
 def _orbit_walk(conj: list, m: int, start, extend):
@@ -301,22 +329,31 @@ def _orbit_walk(conj: list, m: int, start, extend):
 @lru_cache(maxsize=None)
 def perm_rep_census(n: int, m: int) -> CensusRow:
     """Brute-force census of S_n^m up to simultaneous conjugation, by
-    _orbit_walk; |Aut| of an orbit is its tuple's stabiliser order."""
+    _orbit_walk over S_n generated by a transposition and an n-cycle;
+    |Aut| of an orbit is its tuple's stabiliser order."""
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
     # the conjugation table alone costs (n!)**2
     if _exceeds(range(1, n + 1), max(m, 2), 4_000_000):
         raise SizeGuardError(f"census of S_{n}^{m} is too large")
     total = factorial(n) ** m
-    perms = list(itertools.permutations(range(n)))
-    index = {s: i for i, s in enumerate(perms)}
-    conj = [tuple(index[_conj(g, s)] for s in perms) for g in perms]
+    gens = [(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)]
+    perms, conj = _group_table(tuple(range(n)), gens if n > 1 else [],
+                               lambda a, b: tuple(map(a.__getitem__, b)),
+                               factorial(n))
+
+    def extend(tup, i):
+        # a transitive prefix stays transitive, so it is carried no further
+        if tup is None:
+            return None
+        tup += (perms[i],)
+        return None if _is_transitive(tup, n) else tup
     orbit_count = transitive_count = 0
     aut_weight = aut_weight_all = Fraction(0)
-    for tup, aut in _orbit_walk(conj, m, (), lambda tup, i: tup + (perms[i],)):
+    for tup, aut in _orbit_walk(conj, m, (), extend):
         orbit_count += 1
         aut_weight_all += Fraction(1, aut)
-        if _is_transitive(tup, n):
+        if tup is None:
             transitive_count += 1
             aut_weight += Fraction(1, aut)
     if aut_weight_all != Fraction(total, len(perms)):

@@ -7,9 +7,10 @@ absolutely irreducible or absolutely indecomposable.  Matching the two
 routes at several primes is strong evidence that the symbolic counts are
 polynomials in q evaluated correctly.
 
-The census is the stabiliser-chain walk combinatorics._orbit_walk over a
-conjugation table composed from the conjugations by a few generators of
-GL_d(F_p); tuples that share a prefix share the algebra that classifies them.
+The census is the stabiliser-chain walk combinatorics._orbit_walk over the
+conjugation table that combinatorics._group_table builds from generators of
+GL_d(F_p), so it sweeps no p**(d*d) matrices; tuples that share a prefix
+share the algebra that classifies them.
 
 Matrices are flat tuples of length d*d with entries reduced mod p, row
 major, and the echelon basis of _echelon_add is their one row reduction
@@ -26,18 +27,17 @@ from typing import NamedTuple
 
 from .arith import factorize, is_prime
 from .combinatorics import (IdentityError, SizeGuardError, _exceeds,
-                            _orbit_walk, _orbits)
+                            _group_table, _orbit_walk)
 
 __all__ = [
-    "ConjClass", "OracleCensus", "algebra_span_dim", "burnside_orbit_count",
-    "conjugacy_classes", "endomorphism_basis", "gl_enumerate", "gl_order",
-    "identity", "is_absolutely_indecomposable", "is_absolutely_irreducible",
-    "mat_det", "mat_inv", "mat_mul", "orbit_census",
+    "OracleCensus", "algebra_span_dim", "endomorphism_basis", "gl_enumerate",
+    "gl_order", "identity", "is_absolutely_indecomposable",
+    "is_absolutely_irreducible", "mat_det", "mat_inv", "mat_mul",
+    "orbit_census",
 ]
 
-# enumeration costs p**(d*d); the census admits |GL_d(F_p)|**max(m, 2)
+# gl_order and gl_enumerate admit p**(d*d); the census |GL_d(F_p)|**max(m, 2)
 _ENUM_LIMIT = 100_000
-_CLASS_LIMIT = 2_000
 _CENSUS_LIMIT = 200_000
 
 
@@ -138,64 +138,6 @@ def _generators(d: int, p: int) -> list:
                  if all(pow(a, e, p) != 1 for e in orders))
         gens.append((w,) + one[1:])
     return gens
-
-
-def _conjugation_table(group: list, d: int, p: int) -> list:
-    """conj[g][x] is the index of g x g^-1, for indices into ``group``.
-
-    Only the generators are conjugated by matrix products.  Every other
-    row is composed along a breadth-first spanning tree of the Cayley
-    graph, since (s h) x (s h)^-1 = s (h x h^-1) s^-1 gives
-    conj[s h] = perm_s o conj[h], one list lookup per entry.
-    """
-    index = {g: i for i, g in enumerate(group)}
-    steps = []
-    for s in _generators(d, p):
-        sinv = mat_inv(s, d, p)
-        steps.append((s, tuple(index[mat_mul(mat_mul(s, x, d, p), sinv, d, p)]
-                               for x in group)))
-    conj = [None] * len(group)
-    root = index[identity(d)]
-    conj[root] = tuple(range(len(group)))
-    reached = [root]
-    for h in reached:                # grows while it is read: breadth first
-        for s, perm in steps:
-            g = index[mat_mul(s, group[h], d, p)]
-            if conj[g] is None:
-                conj[g] = tuple(map(perm.__getitem__, conj[h]))
-                reached.append(g)
-    if len(reached) != len(group):
-        raise IdentityError(f"generators reached {len(reached)} of "
-                            f"{len(group)} group elements")
-    return conj
-
-
-class ConjClass(NamedTuple):
-    rep: tuple
-    size: int
-    centralizer_order: int
-
-
-def conjugacy_classes(d: int, p: int) -> list:
-    """Conjugacy classes of the invertible matrices, lex-least reps first."""
-    n = gl_order(d, p)
-    if n > _CLASS_LIMIT:
-        raise SizeGuardError(f"group of order {n} exceeds the class limit")
-    group = gl_enumerate(d, p)
-    return [ConjClass(rep=group[x], size=size, centralizer_order=n // size)
-            for x, size in _orbits(_conjugation_table(group, d, p))]
-
-
-def burnside_orbit_count(d: int, p: int, m: int) -> int:
-    """Number of conjugation orbits on m-tuples, via centralizer orders.
-
-    Fixed points of g acting on tuples are the tuples with every entry in
-    the centralizer of g, so averaging over the group leaves one power of
-    the centralizer order per class.
-    """
-    if m < 1:
-        raise ValueError("need m >= 1")
-    return sum(c.centralizer_order ** (m - 1) for c in conjugacy_classes(d, p))
 
 
 def _echelon_add(basis: list, vec, p: int):
@@ -381,7 +323,8 @@ def orbit_census(d: int, p: int, m: int) -> OracleCensus:
     # the conjugation index table alone costs n**2
     if _exceeds((n,), max(m, 2), _CENSUS_LIMIT):
         raise SizeGuardError(f"sweeping {n}**{max(m, 2)} tuples is too much")
-    group = gl_enumerate(d, p)
+    group, conj = _group_table(identity(d), _generators(d, p),
+                               lambda a, b: mat_mul(a, b, d, p), n)
 
     def extend(state, i):
         mats, end, span = state
@@ -394,8 +337,7 @@ def orbit_census(d: int, p: int, m: int) -> OracleCensus:
     full_end = [tuple(int(t == s) for t in range(d * d)) for s in range(d * d)]
     start = ((), full_end, [(0, identity(d))])
     orbits = abs_irr = abs_ind = 0
-    for (_, end, span), _ in _orbit_walk(_conjugation_table(group, d, p), m,
-                                         start, extend):
+    for (_, end, span), _ in _orbit_walk(conj, m, start, extend):
         irr = len(span) == d * d
         ind = _local_split(end, d, p)
         # irreducible forces indecomposable; anything else is a bug

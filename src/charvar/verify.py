@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import factorial
 from typing import NamedTuple
 
-from .arith import divisors, is_prime, mobius, totient
+from .arith import divisors, mobius, totient
 from .combinatorics import (
     IdentityError, SizeGuardError, census_series_checks, connected_weight_poly,
     connected_weight_series, hall_subgroup_counts, limit_transform,
@@ -25,7 +25,7 @@ from .counting import (
     default_dmax, e_polynomial, euler_characteristics, orbit_counts,
     orbit_series, qpochhammer_series, rep_counts, rep_series, s_positive,
 )
-from .fforacle import _ENUM_LIMIT, orbit_census
+from .fforacle import gl_order, orbit_census
 from .plethystic import Exp, Log, irreducible_poly_count, pow_product, Pow
 from .qpoly import ONE, QPoly, q
 from .tseries import TSeries
@@ -229,9 +229,10 @@ def run_verification(m: int, dmax: int = None, primes=(2, 3)) -> list:
     if dmax < 1:
         raise ValueError("need dmax >= 1")
     for p in primes:
-        # past the d = 1 enumeration bound its oracle item skips by size guard
-        if p <= _ENUM_LIMIT and not is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
+        try:
+            gl_order(1, p)           # ValueError unless p is prime
+        except SizeGuardError:
+            pass                     # its oracle item skips by size guard
     items = [
         ("rank-1 counts", _check_rank_one),
         ("rank-2 closed forms", _check_rank_two),

@@ -1,6 +1,7 @@
 """Permutation statistics, subgroup counts, census identities."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -8,8 +9,8 @@ import pytest
 
 from charvar import combinatorics
 from charvar.combinatorics import (
-    CensusRow, IdentityError, SizeGuardError, _conj, _invariant_prefixes,
-    _is_transitive, census_series_checks, connected_tuples,
+    CensusRow, IdentityError, SizeGuardError, _group_table,
+    _invariant_prefixes, _is_transitive, census_series_checks, connected_tuples,
     connected_weight_poly, connected_weight_series, hall_subgroup_counts,
     inversions, is_connected, length_gen_poly, limit_transform,
     perm_rep_census, q_factorial, q_int, subgroup_counts,
@@ -150,6 +151,41 @@ def test_census_degree_1_and_3():
     assert row3.aut_weight_all == factorial(3)
 
 
+def _conj(g, s):
+    """g . s . g^-1 in one-line notation, conjugated directly."""
+    out = [0] * len(g)
+    for i, si in enumerate(s):
+        out[g[i]] = g[si]
+    return tuple(out)
+
+
+def _compose(a, b):
+    return tuple(map(a.__getitem__, b))
+
+
+def _sn_generators(n):
+    """A transposition and an n-cycle, as perm_rep_census takes them."""
+    if n == 1:
+        return []
+    return [(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)]
+
+
+def test_group_table_matches_direct_conjugation():
+    for n in range(1, 6):
+        one = tuple(range(n))
+        group, conj = _group_table(one, _sn_generators(n), _compose,
+                                   factorial(n))
+        assert group[0] == one and len(group) == factorial(n)
+        assert sorted(group) == list(itertools.permutations(range(n)))
+        for g, row in zip(group, conj):
+            assert [group[i] for i in row] == [_conj(g, s) for s in group]
+
+
+def test_group_table_needs_a_generating_set():
+    with pytest.raises(IdentityError, match=r"^generators reached 2 of 6 "):
+        _group_table((0, 1, 2), [(1, 0, 2)], _compose, 6)
+
+
 def _visited_set_census(n, m):
     """Reference census: sweep all of S_n^m with one visited set and
     conjugate each new tuple by every permutation; |Aut| is n!/|orbit|."""
@@ -186,6 +222,22 @@ def test_census_rows_beyond_the_reference_sweep():
     assert perm_rep_census(5, 3) == CensusRow(
         n=5, m=3, total=1728000, orbit_count=14721, transitive_count=13753,
         aut_weight=Fraction(68641, 5), aut_weight_all=Fraction(14400))
+    assert perm_rep_census(6, 2) == CensusRow(
+        n=6, m=2, total=518400, orbit_count=901, transitive_count=624,
+        aut_weight=Fraction(1149, 2), aut_weight_all=Fraction(720))
+
+
+def test_census_state_is_linear_in_the_tuple_length():
+    # a transitive prefix is no longer carried; with it, the frames of
+    # this chain held 18 million permutation references
+    tracemalloc.start()
+    try:
+        row = perm_rep_census.__wrapped__(1, 6000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (row.orbit_count, row.transitive_count) == (1, 1)
+    assert peak < 8 * 2 ** 20, peak
 
 
 def test_census_checks_its_orbit_count_by_burnside(monkeypatch):
@@ -235,6 +287,15 @@ def test_size_guards():
     # n! is never built: this one would take seconds
     with pytest.raises(SizeGuardError, match=r"^census of S_1000000\^1 "):
         perm_rep_census(1_000_000, 1)
+
+
+def test_census_refuses_before_building_the_group(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("group table built before the size guard")
+
+    monkeypatch.setattr(combinatorics, "_group_table", no_table)
+    with pytest.raises(SizeGuardError, match=r"^census of S_7\^1 is too"):
+        perm_rep_census(7, 1)
 
 
 def test_exceeds_compares_the_power_without_building_it():

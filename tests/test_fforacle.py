@@ -13,13 +13,13 @@ import pytest
 import charvar
 from charvar import combinatorics, fforacle
 from charvar.cli import main
-from charvar.combinatorics import IdentityError, SizeGuardError
+from charvar.combinatorics import (IdentityError, SizeGuardError,
+                                   _group_table, _orbits)
 from charvar.counting import abs_ind_counts, abs_irr_counts, orbit_counts
 from charvar.fforacle import (
-    OracleCensus, _conjugation_table, algebra_span_dim, burnside_orbit_count,
-    conjugacy_classes, endomorphism_basis, gl_enumerate, gl_order, identity,
-    is_absolutely_indecomposable, is_absolutely_irreducible, mat_det, mat_inv,
-    mat_mul, orbit_census,
+    OracleCensus, algebra_span_dim, endomorphism_basis, gl_enumerate,
+    gl_order, identity, is_absolutely_indecomposable,
+    is_absolutely_irreducible, mat_det, mat_inv, mat_mul, orbit_census,
 )
 
 I2 = (1, 0, 0, 1)
@@ -65,22 +65,34 @@ def test_group_orders():
         assert len(gl_enumerate(d, p)) == gl_order(d, p)
 
 
+def _gl_table(d, p):
+    """The census's (group, conj) of GL_d(F_p)."""
+    return _group_table(identity(d), fforacle._generators(d, p),
+                        lambda a, b: mat_mul(a, b, d, p), gl_order(d, p))
+
+
+def _classes(d, p):
+    """(representative, size, centraliser order) of each conjugacy class."""
+    group, conj = _gl_table(d, p)
+    return [(group[x], size, len(group) // size) for x, size in _orbits(conj)]
+
+
 def test_conjugacy_classes():
-    small = conjugacy_classes(2, 2)
-    assert sorted(c.size for c in small) == [1, 2, 3]
-    assert sorted(c.centralizer_order for c in small) == [2, 3, 6]
-    central = [c for c in small if c.size == 1]
-    assert [c.rep for c in central] == [identity(2)]
-    bigger = conjugacy_classes(2, 3)
+    small = _classes(2, 2)
+    assert sorted(size for _, size, _ in small) == [1, 2, 3]
+    assert sorted(c for _, _, c in small) == [2, 3, 6]
+    assert [rep for rep, size, _ in small if size == 1] == [identity(2)]
+    bigger = _classes(2, 3)
     assert len(bigger) == 8
-    assert sorted(c.centralizer_order for c in bigger) == [4, 6, 6, 8, 8, 8,
-                                                           48, 48]
-    assert sum(c.size for c in bigger) == 48
+    assert sorted(c for _, _, c in bigger) == [4, 6, 6, 8, 8, 8, 48, 48]
+    assert sum(size for _, size, _ in bigger) == 48
 
 
 def test_burnside_agrees_with_sweep():
+    # fixed points of g on m-tuples are the tuples in its centraliser
     for d, p, m in [(1, 3, 2), (2, 2, 2), (2, 2, 3), (2, 3, 2)]:
-        assert orbit_census(d, p, m).orbits == burnside_orbit_count(d, p, m)
+        assert orbit_census(d, p, m).orbits == sum(
+            c ** (m - 1) for _, _, c in _classes(d, p))
 
 
 def test_algebra_span_classifier():
@@ -335,8 +347,6 @@ def test_size_guards_and_validation():
     with pytest.raises(SizeGuardError):
         gl_enumerate(3, 5)
     with pytest.raises(SizeGuardError):
-        conjugacy_classes(2, 7)
-    with pytest.raises(SizeGuardError):
         orbit_census(2, 5, 2)
     with pytest.raises(ValueError):
         gl_order(2, 4)
@@ -395,15 +405,25 @@ def test_census_matches_full_sweep():
 
 def test_conjugation_table_matches_direct_products():
     rng = random.Random(20261018)
-    for d, p, rows in [(2, 3, None), (3, 2, 20)]:
-        group = gl_enumerate(d, p)
-        conj = _conjugation_table(group, d, p)
+    assert fforacle._generators(1, 2) == []
+    for d, p, rows in [(1, 2, None), (2, 3, None), (3, 2, 20)]:
+        group, conj = _gl_table(d, p)
+        assert group[0] == identity(d)
+        assert sorted(group) == gl_enumerate(d, p)
         indices = range(len(group)) if rows is None else rng.sample(
             range(len(group)), rows)
         for gi in indices:
             g, ginv = group[gi], mat_inv(group[gi], d, p)
             assert [group[i] for i in conj[gi]] == [
                 mat_mul(mat_mul(g, x, d, p), ginv, d, p) for x in group]
+
+
+def test_census_does_not_enumerate_the_matrices(monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("the census swept all matrices")
+
+    monkeypatch.setattr(fforacle, "gl_enumerate", no_sweep)
+    assert orbit_census(2, 3, 2).orbits == 136
 
 
 def test_conjugation_table_needs_a_generating_set(monkeypatch):
@@ -414,15 +434,13 @@ def test_conjugation_table_needs_a_generating_set(monkeypatch):
 
 
 def test_census_refuses_before_enumerating(monkeypatch):
-    def no_det(*args):
-        raise AssertionError("mat_det called before the size guard")
+    def no_table(*args):
+        raise AssertionError("group table built before the size guard")
 
-    monkeypatch.setattr(fforacle, "mat_det", no_det)
+    monkeypatch.setattr(fforacle, "_group_table", no_table)
     for d, p, m in [(4, 2, 2), (3, 3, 2), (2, 3, 4)]:
         with pytest.raises(SizeGuardError, match="tuples is too much"):
             orbit_census(d, p, m)
-    with pytest.raises(SizeGuardError, match="exceeds the class limit"):
-        conjugacy_classes(2, 7)
 
 
 def test_identity_failure_survives_optimize():

@@ -9,7 +9,7 @@ import pytest
 from charvar.combinatorics import CensusRow
 from charvar.counting import (CharVarTable, PositivityReport, TableRow,
                               build_table, positivity_report)
-from charvar.fforacle import ConjClass, OracleCensus
+from charvar.fforacle import OracleCensus
 from charvar.qpoly import q
 from charvar.verify import CheckResult
 
@@ -31,7 +31,6 @@ RECORDS = [
                             irr_witness=None)),
     (TableRow, ROW_FIELDS),
     (CharVarTable, dict(m=2, dmax=1, rows=(sample_row(),))),
-    (ConjClass, dict(rep=(1,), size=1, centralizer_order=2)),
     (OracleCensus, dict(d=1, p=3, m=2, group_order=2, orbits=4, abs_irr=4,
                         abs_ind=4)),
     (CheckResult, dict(name="rank-1 counts", passed=True, detail="ok",
