@@ -262,28 +262,37 @@ def _group_table(one, gens: list, mul, order: int):
     group[0] is one, and conj[g][x] indexes group[g] x group[g]^-1.
 
     A breadth-first pass of left multiplication by the generators lists
-    the group and records a spanning tree of its Cayley graph.  Only the
-    generators are conjugated by products; every other row is composed
-    along the tree, since (s h) x (s h)^-1 = s (h x h^-1) s^-1 gives
-    conj[s h] = perm_s o conj[h], one list lookup per entry.
+    the group, records each generator's left multiplication as an index
+    row and a spanning tree of the Cayley graph; it makes the only
+    products, one per element and generator.  Right multiplication by
+    s^-1 is composed along the tree, since (t h) s^-1 = t (h s^-1), and
+    s x s^-1 is left multiplication by s after it.  Every other row is
+    composed along the tree too, since (s h) x (s h)^-1 = s (h x h^-1) s^-1
+    gives conj[s h] = perm_s o conj[h], one list lookup per entry.
     """
     group, index, tree = [one], {one: 0}, []
+    left = [[] for _ in gens]
     for h, x in enumerate(group):    # grows while it is read: breadth first
         for s, gen in enumerate(gens):
             y = mul(gen, x)
-            if y not in index:
-                index[y] = len(group)
+            j = index.get(y)
+            if j is None:
+                j = index[y] = len(group)
                 group.append(y)
                 tree.append((s, h))
+            left[s].append(j)
     if len(group) != order:
         raise IdentityError(f"generators reached {len(group)} of "
                             f"{order} group elements")
     perms = []
-    for gen in gens:
-        inv, power = one, gen        # gen^-1 is the power just before one
-        while power != one:
-            inv, power = power, mul(gen, power)
-        perms.append(tuple(index[mul(mul(gen, x), inv)] for x in group))
+    for row in left:
+        inv, power = 0, row[0]       # s^-1 is the power just before one
+        while power:
+            inv, power = power, row[power]
+        right = [inv]
+        for t, h in tree:
+            right.append(left[t][right[h]])
+        perms.append(tuple(map(row.__getitem__, right)))
     conj = [tuple(range(order))]
     for s, h in tree:
         conj.append(tuple(map(perms[s].__getitem__, conj[h])))

@@ -9,8 +9,10 @@ polynomials in q evaluated correctly.
 
 The census is the stabiliser-chain walk combinatorics._orbit_walk over the
 conjugation table that combinatorics._group_table builds from generators of
-GL_d(F_p), so it sweeps no p**(d*d) matrices; tuples that share a prefix
-share the algebra that classifies them.
+GL_d(F_p), so it sweeps no p**(d*d) matrices.  A prefix is classified
+by the unital algebra it generates alone, so the walk carries that
+algebra's number, keyed by the reduced echelon form of its span, and
+extends and classifies each algebra once rather than once per orbit.
 
 Matrices are flat tuples of length d*d with entries reduced mod p, row
 major, and the echelon basis of _echelon_add is their one row reduction
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections import Counter
 from typing import NamedTuple
 
 from .arith import factorize, is_prime
@@ -160,6 +163,24 @@ def _echelon_add(basis: list, vec, p: int):
     return row
 
 
+def _rref_key(span: list, p: int) -> tuple:
+    """Reduced row echelon rows of the subspace an _echelon_add basis
+    spans, in pivot order: one key per subspace, whatever basis built it.
+
+    Each row is 1 at its pivot and zero before it, so the rows are
+    cleared at the pivots after their own from the last pivot down; a
+    row already cleared is zero at the pivots of the others.
+    """
+    done = []
+    for piv, row in sorted(span, reverse=True):
+        for q, other in done:
+            f = row[q]
+            if f:
+                row = tuple([(x - f * y) % p for x, y in zip(row, other)])
+        done.append((piv, row))
+    return tuple(row for _, row in reversed(done))
+
+
 def _nullspace(rows, ncols: int, p: int) -> list:
     """Kernel basis of the rows: per free column, the vector with 1 there
     and 0 at the other free columns.  The pivot entries are set by
@@ -261,22 +282,6 @@ def _local_split(basis: list, d: int, p: int) -> bool:
     return singular == p ** (k - 1)
 
 
-def _extend_end(basis: list, y: tuple, d: int, p: int) -> list:
-    """Basis of the elements of span(basis) that commute with y.
-
-    A nullspace over the k coordinates of the old basis: one equation per
-    matrix entry of sum_i c_i (b_i y - y b_i) = 0.
-    """
-    if len(basis) == 1:              # F_p * 1 commutes with everything
-        return basis
-    commutators = [[(a - b) % p for a, b in zip(mat_mul(e, y, d, p),
-                                                mat_mul(y, e, d, p))]
-                   for e in basis]
-    return [tuple(sum(c * e[t] for c, e in zip(coeffs, basis)) % p
-                  for t in range(d * d))
-            for coeffs in _nullspace(list(zip(*commutators)), len(basis), p)]
-
-
 def _extend_span(span: list, mats: tuple, y: tuple, d: int, p: int) -> list:
     """Echelon basis of the algebra generated by mats + (y,), from that of
     the algebra generated by mats.
@@ -312,10 +317,13 @@ class OracleCensus(NamedTuple):
 def orbit_census(d: int, p: int, m: int) -> OracleCensus:
     """Classify every conjugation orbit of m-tuples of invertible matrices.
 
-    Along the walk of _orbit_walk each prefix folds in its commuting algebra
-    End and the echelon span of the algebra it generates.  A tuple is
-    absolutely irreducible when the span is all of M_d, and absolutely
-    indecomposable when End is local with residue field F_p.
+    All a prefix's classification needs is the unital algebra A it
+    generates: the tuple is absolutely irreducible when A is all of M_d,
+    and absolutely indecomposable when the commutant End of A is local
+    with residue field F_p.  So the walk of _orbit_walk carries the
+    number of A, assigned on first sight by the _rref_key of its echelon
+    span; each extension of A by a group element and each classification
+    of A is computed once, not once per orbit.
     """
     if m < 1:
         raise ValueError("need m >= 1")
@@ -325,27 +333,36 @@ def orbit_census(d: int, p: int, m: int) -> OracleCensus:
         raise SizeGuardError(f"sweeping {n}**{max(m, 2)} tuples is too much")
     group, conj = _group_table(identity(d), _generators(d, p),
                                lambda a, b: mat_mul(a, b, d, p), n)
+    # per number: the echelon span of A and the first prefix to generate
+    # it, which has at most d*d - 1 entries since each one enlarged A
+    start = [(0, identity(d))]
+    algebras = [(start, ())]
+    numbers = {_rref_key(start, p): 0}
+    extended = {}
 
-    def extend(state, i):
-        mats, end, span = state
-        y = group[i]
-        span = _extend_span(span, mats, y, d, p)
-        # _extend_span returns a full span at once, without reading mats
-        return (mats + (y,) if len(span) < d * d else (),
-                _extend_end(end, y, d, p), span)
-    # the empty prefix commutes with all of M_d and generates F_p * 1
-    full_end = [tuple(int(t == s) for t in range(d * d)) for s in range(d * d)]
-    start = ((), full_end, [(0, identity(d))])
+    def extend(a, i):
+        key = a * n + i
+        b = extended.get(key)
+        if b is None:
+            span, gens = algebras[a]
+            span = _extend_span(span, gens, group[i], d, p)
+            b = extended[key] = numbers.setdefault(_rref_key(span, p),
+                                                   len(algebras))
+            if b == len(algebras):
+                algebras.append((span, gens + (group[i],)))
+        return b
+    leaves = Counter(a for a, _ in _orbit_walk(conj, m, 0, extend))
     orbits = abs_irr = abs_ind = 0
-    for (_, end, span), _ in _orbit_walk(conj, m, start, extend):
+    for a, count in leaves.items():
+        span, gens = algebras[a]
         irr = len(span) == d * d
-        ind = _local_split(end, d, p)
+        ind = _local_split(endomorphism_basis(gens, d, p), d, p)
         # irreducible forces indecomposable; anything else is a bug
         if irr and not ind:
             raise IdentityError(f"an absolutely irreducible {m}-tuple "
                                 f"in GL_{d}(F_{p}) is decomposable")
-        orbits += 1
-        abs_irr += irr
-        abs_ind += ind
+        orbits += count
+        abs_irr += irr * count
+        abs_ind += ind * count
     return OracleCensus(d=d, p=p, m=m, group_order=n, orbits=orbits,
                         abs_irr=abs_irr, abs_ind=abs_ind)

@@ -249,6 +249,67 @@ def _rref_reference(rows, ncols, p):
     return rows[:r], pivots
 
 
+def _echelon_span(rows, p):
+    span = []
+    for row in rows:
+        fforacle._echelon_add(span, row, p)
+    return span
+
+
+def test_rref_key_is_the_reduced_row_echelon_form():
+    rng = random.Random(20261020)
+    for p in (2, 3, 5):
+        for ncols in range(1, 10):
+            for _ in range(20):
+                rows = _random_rows(rng, rng.randrange(ncols + 2), ncols, p)
+                want = tuple(map(tuple, _rref_reference(rows, ncols, p)[0]))
+                assert fforacle._rref_key(_echelon_span(rows, p), p) == want
+
+
+def test_rref_key_does_not_depend_on_the_basis():
+    rng = random.Random(20261020)
+    for p in (2, 3, 5):
+        for _ in range(50):
+            rows = [[rng.randrange(p) for _ in range(9)] for _ in range(4)]
+            # another basis of the same span, inserted in another order
+            other = [[(s * x + t * y) % p for x, y in zip(a, b)]
+                     for a, b in zip(rows, rows[1:] + rows[:1])
+                     for s, t in [(1, rng.randrange(p))]]
+            other += rows
+            rng.shuffle(other)
+            assert (fforacle._rref_key(_echelon_span(rows, p), p)
+                    == fforacle._rref_key(_echelon_span(other, p), p))
+
+
+def test_census_extends_and_classifies_each_algebra_once(monkeypatch):
+    # once per orbit, (2, 3, 3) made 5032 extensions and 4888 locality
+    # sweeps, and (3, 2, 2) 203 and 197
+    calls = {}
+    for name in ("_extend_span", "_local_split"):
+        def counted(*args, real=getattr(fforacle, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(fforacle, name, counted)
+    for box, most in [((2, 3, 3), (320, 11)), ((3, 2, 2), (197, 20))]:
+        calls.update(_extend_span=0, _local_split=0)
+        orbit_census(*box)
+        assert calls["_extend_span"] <= most[0], (box, calls)
+        assert calls["_local_split"] <= most[1], (box, calls)
+
+
+def test_census_matches_polynomial_counts_past_the_guard(monkeypatch):
+    # the first d >= 2 boxes at p = 5, at d = 3 with m = 3 and at p = 3
+    # with m = 4; the guard itself still refuses them
+    monkeypatch.setattr(fforacle, "_CENSUS_LIMIT", 48 ** 4)
+    pins = {(2, 5, 2): (2336, 1584, 1920), (3, 2, 3): (28411, 27152, 28248),
+            (2, 3, 4): (223216, 217280, 221040)}
+    for (d, p, m), want in pins.items():
+        census = orbit_census(d, p, m)
+        assert (census.orbits, census.abs_irr, census.abs_ind) == want
+        assert want == tuple(counts(m, dmax=d)[d].evaluate(p) for counts in
+                             (orbit_counts, abs_irr_counts, abs_ind_counts))
+
+
 def _nullspace_reference(rows, ncols, p):
     red, pivots = _rref_reference(rows, ncols, p)
     basis = []
@@ -416,6 +477,22 @@ def test_conjugation_table_matches_direct_products():
             g, ginv = group[gi], mat_inv(group[gi], d, p)
             assert [group[i] for i in conj[gi]] == [
                 mat_mul(mat_mul(g, x, d, p), ginv, d, p) for x in group]
+
+
+def test_group_table_makes_one_product_per_element_and_generator():
+    s4 = (tuple(range(4)), [(1, 0, 2, 3), (1, 2, 3, 0)],
+          lambda a, b: tuple(map(a.__getitem__, b)), 24)
+    gl32 = (identity(3), fforacle._generators(3, 2),
+            lambda a, b: mat_mul(a, b, 3, 2), 168)
+    for one, gens, mul, order in (s4, gl32):
+        calls = []
+
+        def counted(a, b):
+            calls.append(None)
+            return mul(a, b)
+        group, conj = _group_table(one, gens, counted, order)
+        assert len(group) == order
+        assert len(calls) == order * len(gens)
 
 
 def test_census_does_not_enumerate_the_matrices(monkeypatch):
