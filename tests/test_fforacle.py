@@ -272,9 +272,9 @@ def test_rref_key_does_not_depend_on_the_basis():
         for _ in range(50):
             rows = [[rng.randrange(p) for _ in range(9)] for _ in range(4)]
             # another basis of the same span, inserted in another order
-            other = [[(s * x + t * y) % p for x, y in zip(a, b)]
-                     for a, b in zip(rows, rows[1:] + rows[:1])
-                     for s, t in [(1, rng.randrange(p))]]
+            shifts = [rng.randrange(p) for _ in rows]
+            other = [[(x + t * y) % p for x, y in zip(a, b)]
+                     for a, b, t in zip(rows, rows[1:] + rows[:1], shifts)]
             other += rows
             rng.shuffle(other)
             assert (fforacle._rref_key(_echelon_span(rows, p), p)
@@ -490,7 +490,7 @@ def test_group_table_makes_one_product_per_element_and_generator():
         def counted(a, b):
             calls.append(None)
             return mul(a, b)
-        group, conj = _group_table(one, gens, counted, order)
+        group, _ = _group_table(one, gens, counted, order)
         assert len(group) == order
         assert len(calls) == order * len(gens)
 
