@@ -5,6 +5,14 @@ the internal consistency suite, `subgroups` prints free-group subgroup
 counts, `permstats` lists connected permutation tuples with their
 inversion weights, and `oracle` runs the finite-field brute force.
 
+Each command runs in two phases.  It first computes everything that can
+fail and returns its exit code with a writer; only then does `main` open
+stdout or the --output file, and the writer renders into it one row, line
+or list item at a time, so the whole output is never held as one string.
+A command that fails writes nothing and leaves an existing --output file
+as it was.  When the reader of stdout closes its end, the rest of the
+output is dropped without a traceback and the exit code is the command's.
+
 Exit codes: 0 success, 2 usage error (an --output path that cannot be
 written counts as one), 3 failed verification or any internal arithmetic
 failure (integrality, brute-force identity, inexact division, a pole),
@@ -17,13 +25,15 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
+import os
 import sys
+from itertools import chain, islice
 
 from .combinatorics import (SizeGuardError, connected_tuples, inversions,
                             subgroup_counts, weight_poly)
-from .counting import build_table, default_dmax, e_polynomial, uv_str
+from .counting import (TableRow, build_table, default_dmax, e_polynomial,
+                       uv_str)
 from .fforacle import orbit_census
 from .qpoly import poly_str
 from .verify import all_passed, run_verification
@@ -86,12 +96,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+_ENCODER = json.JSONEncoder(indent=2)
+# Encoder chunks joined per write.  A row of the polys table is one chunk
+# per coefficient, so a write holds a few kilobytes of text, not the row;
+# joining a whole row at a time rendered no faster.
+_CHUNKS_PER_WRITE = 256
+
+
+def _write_json(out, head: dict, key: str, items) -> None:
+    """Write json.dumps({**head, key: list(items)}, indent=2) + "\n".
+
+    The items are built, encoded and written one at a time, so neither the
+    document nor the list is ever held whole.
+    """
+    text = _ENCODER.encode({**head, key: []})
+    out.write(text[:-3])            # text ends with ']\n}'
+    separator, close = "\n", "]\n}\n"
+    for item in items:
+        chunks = chain((separator,), _ENCODER.iterencode(item))
+        # two levels in: every line of the item moves right by four spaces
+        while batch := "".join(islice(chunks, _CHUNKS_PER_WRITE)):
+            out.write(batch.replace("\n", "\n    "))
+        separator, close = ",\n", "\n  ]\n}\n"
+        del item                    # freed before the next item is built
+    out.write(close)
+
+
+def _csv_writer(out):
+    return csv.writer(out, lineterminator="\n")
 
 
 def _join(values) -> str:
@@ -101,39 +133,48 @@ def _join(values) -> str:
 def cmd_polys(args) -> tuple:
     table = build_table(args.m, dmax=args.dmax)
     if args.format == "json":
-        return json.dumps(table.to_json_dict(), indent=2) + "\n", EXIT_OK
+        def write(out):
+            _write_json(out, {"m": table.m}, "rows",
+                        map(TableRow.to_json_dict, table.rows))
+        return EXIT_OK, write
     if args.format == "csv":
-        rows = []
-        for row in table.rows:
-            rows.append([
+        def write(out):
+            writer = _csv_writer(out)
+            writer.writerow(["m", "d", "A", "A_irr", "A_ind", "M", "chi_pgl",
+                             "chi_pgl_irr", "s_coeffs_A", "positive"])
+            writer.writerows([
                 table.m, row.d,
                 _join(row.rep_count.coeffs), _join(row.abs_irr.coeffs),
                 _join(row.abs_ind.coeffs), _join(row.orbits.coeffs),
                 "" if row.chi_pgl is None else str(row.chi_pgl),
                 "" if row.chi_pgl_irr is None else str(row.chi_pgl_irr),
                 _join(row.s_coeffs), str(row.positive).lower(),
-            ])
-        header = ["m", "d", "A", "A_irr", "A_ind", "M",
-                  "chi_pgl", "chi_pgl_irr", "s_coeffs_A", "positive"]
-        return _csv_text(header, rows), EXIT_OK
-    lines = [f"counting polynomials for m = {table.m}, d <= {table.dmax}"]
-    for row in table.rows:
-        lines.append("")
-        lines.append(f"d = {row.d}")
-        lines.append(f"  A     = {poly_str(row.rep_count)}")
-        lines.append(f"  A_irr = {poly_str(row.abs_irr)}")
-        lines.append(f"  A_ind = {poly_str(row.abs_ind)}")
-        lines.append(f"  M     = {poly_str(row.orbits)}")
-        if table.m >= 2:
-            epoly = e_polynomial(table.m, row.d, group="PGL")
-            lines.append(f"  E(PGL)        = {uv_str(epoly)}")
-            lines.append(f"  chi(PGL)      = {row.chi_pgl}")
-            lines.append(f"  chi(PGL irr)  = {row.chi_pgl_irr}")
-        else:
-            lines.append("  E(PGL)        = n/a (needs m >= 2)")
-        lines.append(f"  A in powers of (q-1): {list(row.s_coeffs)}"
-                     f"  positive = {row.positive}")
-    return "\n".join(lines) + "\n", EXIT_OK
+            ] for row in table.rows)
+        return EXIT_OK, write
+    # E(PGL) can raise, so it is computed before anything is written
+    epolys = [e_polynomial(table.m, row.d, group="PGL") if table.m >= 2
+              else None for row in table.rows]
+
+    def write(out):
+        out.write(f"counting polynomials for m = {table.m}, "
+                  f"d <= {table.dmax}\n")
+        for row, epoly in zip(table.rows, epolys):
+            lines = ["",
+                     f"d = {row.d}",
+                     f"  A     = {poly_str(row.rep_count)}",
+                     f"  A_irr = {poly_str(row.abs_irr)}",
+                     f"  A_ind = {poly_str(row.abs_ind)}",
+                     f"  M     = {poly_str(row.orbits)}"]
+            if epoly is None:
+                lines.append("  E(PGL)        = n/a (needs m >= 2)")
+            else:
+                lines += [f"  E(PGL)        = {uv_str(epoly)}",
+                          f"  chi(PGL)      = {row.chi_pgl}",
+                          f"  chi(PGL irr)  = {row.chi_pgl_irr}"]
+            lines.append(f"  A in powers of (q-1): {list(row.s_coeffs)}"
+                         f"  positive = {row.positive}")
+            out.write("\n".join(lines) + "\n")
+    return EXIT_OK, write
 
 
 def cmd_verify(args) -> tuple:
@@ -156,32 +197,44 @@ def cmd_verify(args) -> tuple:
                         "detail": c.detail} for c in checks],
             "all_passed": ok,
         }
-        return json.dumps(payload, indent=2) + "\n", code
+        return code, lambda out: out.write(json.dumps(payload, indent=2) +
+                                           "\n")
     if args.format == "csv":
-        rows = [[c.name, "skip" if c.skipped else str(c.passed).lower(),
-                 c.detail] for c in checks]
-        return _csv_text(["name", "passed", "detail"], rows), code
-    lines = []
-    for c in checks:
-        mark = "skip" if c.skipped else "ok " if c.passed else "FAIL"
-        lines.append(f"[{mark}] {c.name}: {c.detail}")
-    summary = f"{sum(c.passed for c in checks)}/{len(checks)} checks passed"
-    skipped = sum(c.skipped for c in checks)
-    lines.append(f"{summary}, {skipped} skipped" if skipped else summary)
-    return "\n".join(lines) + "\n", code
+        def write(out):
+            writer = _csv_writer(out)
+            writer.writerow(["name", "passed", "detail"])
+            writer.writerows(
+                [c.name, "skip" if c.skipped else str(c.passed).lower(),
+                 c.detail] for c in checks)
+        return code, write
+
+    def write(out):
+        for c in checks:
+            mark = "skip" if c.skipped else "ok " if c.passed else "FAIL"
+            out.write(f"[{mark}] {c.name}: {c.detail}\n")
+        summary = f"{sum(c.passed for c in checks)}/{len(checks)} checks passed"
+        skipped = sum(c.skipped for c in checks)
+        out.write(f"{summary}, {skipped} skipped\n" if skipped
+                  else summary + "\n")
+    return code, write
 
 
 def cmd_subgroups(args) -> tuple:
     counts = subgroup_counts(args.m, args.nmax)
     if args.format == "json":
         payload = {"m": args.m, "nmax": args.nmax, "counts": counts}
-        return json.dumps(payload, indent=2) + "\n", EXIT_OK
+        return EXIT_OK, lambda out: out.write(json.dumps(payload, indent=2) +
+                                              "\n")
     if args.format == "csv":
-        rows = [[n, c] for n, c in enumerate(counts, start=1)]
-        return _csv_text(["n", "count"], rows), EXIT_OK
+        def write(out):
+            writer = _csv_writer(out)
+            writer.writerow(["n", "count"])
+            writer.writerows(enumerate(counts, start=1))
+        return EXIT_OK, write
     head = (f"index-n subgroup counts of the free group of rank {args.m}, "
             f"n <= {args.nmax}")
-    return head + "\n" + ",".join(str(c) for c in counts) + "\n", EXIT_OK
+    text = head + "\n" + ",".join(str(c) for c in counts) + "\n"
+    return EXIT_OK, lambda out: out.write(text)
 
 
 def cmd_permstats(args) -> tuple:
@@ -189,38 +242,49 @@ def cmd_permstats(args) -> tuple:
     weights = [sum(map(inversions, tup)) for tup in tuples]
     poly = weight_poly(weights)
     if args.format == "json":
-        listing = [{"perms": [list(p) for p in tup], "inversions": w}
-                   for tup, w in zip(tuples, weights)]
-        payload = {"m": args.m, "n": args.n,
-                   "poly": [str(c) for c in poly.coeffs],
-                   "tuples": listing}
-        return json.dumps(payload, indent=2) + "\n", EXIT_OK
+        def write(out):
+            head = {"m": args.m, "n": args.n,
+                    "poly": [str(c) for c in poly.coeffs]}
+            _write_json(out, head, "tuples",
+                        ({"perms": [list(p) for p in tup], "inversions": w}
+                         for tup, w in zip(tuples, weights)))
+        return EXIT_OK, write
     if args.format == "csv":
-        rows = [[" ".join(map(str, perm)) for perm in tup] + [w]
-                for tup, w in zip(tuples, weights)]
-        header = [f"perm{i}" for i in range(1, args.m)] + ["inversions"]
-        return _csv_text(header, rows), EXIT_OK
-    lines = [f"connected {args.m - 1}-tuples of permutations of "
-             f"degree {args.n}",
-             f"weight polynomial: {poly_str(poly)}"]
-    for tup, w in zip(tuples, weights):
-        perms = " | ".join(" ".join(map(str, p)) for p in tup)
-        lines.append(f"  {perms}    inversions = {w}")
-    return "\n".join(lines) + "\n", EXIT_OK
+        def write(out):
+            writer = _csv_writer(out)
+            writer.writerow([f"perm{i}" for i in range(1, args.m)] +
+                            ["inversions"])
+            writer.writerows([" ".join(map(str, perm)) for perm in tup] + [w]
+                             for tup, w in zip(tuples, weights))
+        return EXIT_OK, write
+
+    def write(out):
+        out.write(f"connected {args.m - 1}-tuples of permutations of "
+                  f"degree {args.n}\n"
+                  f"weight polynomial: {poly_str(poly)}\n")
+        for tup, w in zip(tuples, weights):
+            perms = " | ".join(" ".join(map(str, p)) for p in tup)
+            out.write(f"  {perms}    inversions = {w}\n")
+    return EXIT_OK, write
 
 
 def cmd_oracle(args) -> tuple:
     census = orbit_census(args.d, args.p, args.m)
     if args.format == "json":
-        return json.dumps(census._asdict(), indent=2) + "\n", EXIT_OK
+        return EXIT_OK, lambda out: out.write(
+            json.dumps(census._asdict(), indent=2) + "\n")
     if args.format == "csv":
-        return _csv_text(census._fields, [census]), EXIT_OK
-    lines = [f"brute-force census of {census.m}-tuples in GL_{census.d}"
-             f"(F_{census.p}), group order {census.group_order}",
-             f"orbits: {census.orbits}",
-             f"abs_irr: {census.abs_irr}",
-             f"abs_ind: {census.abs_ind}"]
-    return "\n".join(lines) + "\n", EXIT_OK
+        def write(out):
+            writer = _csv_writer(out)
+            writer.writerow(census._fields)
+            writer.writerow(census)
+        return EXIT_OK, write
+    text = (f"brute-force census of {census.m}-tuples in GL_{census.d}"
+            f"(F_{census.p}), group order {census.group_order}\n"
+            f"orbits: {census.orbits}\n"
+            f"abs_irr: {census.abs_irr}\n"
+            f"abs_ind: {census.abs_ind}\n")
+    return EXIT_OK, lambda out: out.write(text)
 
 
 _COMMANDS = {
@@ -236,7 +300,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        text, code = _COMMANDS[args.command](args)
+        code, write = _COMMANDS[args.command](args)
     except SizeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIZE
@@ -249,13 +313,21 @@ def main(argv=None) -> int:
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
+                write(handle)
         except OSError as exc:
             print(f"error: cannot write {args.output}: {exc.strerror}",
                   file=sys.stderr)
             return EXIT_USAGE
-    else:
-        sys.stdout.write(text)
+        return code
+    try:
+        write(sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed its end: what is left goes to the null device,
+        # so the flush at interpreter exit raises nothing either
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

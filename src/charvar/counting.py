@@ -330,6 +330,21 @@ class TableRow(NamedTuple):
     s_coeffs: tuple
     positive: bool
 
+    def to_json_dict(self) -> dict:
+        """One row of the JSON table: exact numbers as decimal strings."""
+        return {
+            "d": self.d,
+            "A": [str(c) for c in self.rep_count.coeffs],
+            "A_irr": [str(c) for c in self.abs_irr.coeffs],
+            "A_ind": [str(c) for c in self.abs_ind.coeffs],
+            "M": [str(c) for c in self.orbits.coeffs],
+            "chi_pgl": None if self.chi_pgl is None else str(self.chi_pgl),
+            "chi_pgl_irr":
+                None if self.chi_pgl_irr is None else str(self.chi_pgl_irr),
+            "s_coeffs_A": [str(c) for c in self.s_coeffs],
+            "positive": self.positive,
+        }
+
 
 class CharVarTable(NamedTuple):
     m: int
@@ -337,24 +352,7 @@ class CharVarTable(NamedTuple):
     rows: tuple
 
     def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "rows": [
-                {
-                    "d": row.d,
-                    "A": [str(c) for c in row.rep_count.coeffs],
-                    "A_irr": [str(c) for c in row.abs_irr.coeffs],
-                    "A_ind": [str(c) for c in row.abs_ind.coeffs],
-                    "M": [str(c) for c in row.orbits.coeffs],
-                    "chi_pgl": None if row.chi_pgl is None else str(row.chi_pgl),
-                    "chi_pgl_irr":
-                        None if row.chi_pgl_irr is None else str(row.chi_pgl_irr),
-                    "s_coeffs_A": [str(c) for c in row.s_coeffs],
-                    "positive": row.positive,
-                }
-                for row in self.rows
-            ],
-        }
+        return {"m": self.m, "rows": [row.to_json_dict() for row in self.rows]}
 
 
 def build_table(m: int, dmax: int = None) -> CharVarTable:

@@ -476,12 +476,15 @@ def expand_in_s(p: QPoly) -> list:
     >>> expand_in_s(QPoly([1, -2, 1]))   # (q-1)^2
     [0, 0, 1]
     """
+    return list(_s_coeffs(p))
+
+
+def _s_coeffs(p: QPoly):
+    # the coefficients of expand_in_s one at a time, lowest power first
     top_down = p.coeffs[::-1]
-    out = []
     while top_down:
         top_down = list(accumulate(top_down))
-        out.append(_coefficient(top_down.pop()))
-    return out
+        yield _coefficient(top_down.pop())
 
 
 def _div_by_s_power(p: QPoly, k: int) -> QPoly:
@@ -525,8 +528,9 @@ def limit_at_1(num: QPoly, den: QPoly = ONE) -> Scalar:
         raise ZeroDivisionError("zero denominator")
     if num.is_zero:
         return 0
-    vn, cn = next((k, c) for k, c in enumerate(expand_in_s(num)) if c)
-    vd, cd = next((k, c) for k, c in enumerate(expand_in_s(den)) if c)
+    # each expansion stops at its lowest nonzero coefficient
+    vn, cn = next((k, c) for k, c in enumerate(_s_coeffs(num)) if c)
+    vd, cd = next((k, c) for k, c in enumerate(_s_coeffs(den)) if c)
     if vn < vd:
         raise PoleError(f"pole of order {vd - vn} at q = 1")
     if vn > vd:

@@ -6,13 +6,16 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import charvar
-from charvar import counting
-from charvar.cli import main
+from charvar import cli, counting
+from charvar.cli import build_parser, cmd_polys, main
+from charvar.combinatorics import connected_tuples, inversions, weight_poly
+from charvar.counting import build_table
 from charvar.qpoly import ExactDivisionError, PoleError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -482,15 +485,23 @@ def test_verify_bytes_pinned(capsys, argv):
         VERIFY_DIGESTS[argv]
 
 
-def _cli(*argv, timeout=60):
-    """Run the CLI in a fresh interpreter; a hang fails by timeout."""
+def _cli_command(*argv, setup=""):
+    """Command line and environment of the CLI in a fresh interpreter.
+
+    `setup` is Python that runs before charvar.cli is imported.
+    """
     src = str(Path(charvar.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-c", "import sys; from charvar.cli import main; "
-         "sys.exit(main(sys.argv[1:]))", *argv],
-        env={**os.environ, "PYTHONPATH": path}, capture_output=True,
-        text=True, timeout=timeout)
+    return ([sys.executable, "-c", f"{setup}\nimport sys\n"
+             "from charvar.cli import main\nsys.exit(main(sys.argv[1:]))",
+             *argv], {**os.environ, "PYTHONPATH": path})
+
+
+def _cli(*argv, timeout=60):
+    """Run the CLI in a fresh interpreter; a hang fails by timeout."""
+    command, env = _cli_command(*argv)
+    return subprocess.run(command, env=env, capture_output=True, text=True,
+                          timeout=timeout)
 
 
 def test_large_p_is_sized_before_its_primality_is_decided():
@@ -596,3 +607,123 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     added = loaded("import charvar.cli") - loaded("pass")
     assert "charvar.cli" in added
     assert not added & {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("m, dmax", [(2, 0), (1, 2), (2, 3)],
+                         ids=["no rows", "null chi and zero poly", "m=2"])
+def test_streamed_polys_json_is_the_one_shot_json(capsys, m, dmax):
+    code, out, err = run(capsys, "polys", "--m", str(m), "--dmax", str(dmax),
+                         "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == json.dumps(build_table(m, dmax).to_json_dict(),
+                             indent=2) + "\n"
+
+
+@pytest.mark.parametrize("empty", [True, False], ids=["empty", "listing"])
+def test_streamed_permstats_json_is_the_one_shot_json(capsys, monkeypatch,
+                                                      empty):
+    # every (n, m) the command admits has a connected tuple, an n-cycle
+    tuples = [] if empty else connected_tuples(3, 3)
+    if empty:
+        monkeypatch.setattr(cli, "connected_tuples", lambda n, m: [])
+    code, out, err = run(capsys, "permstats", "--m", "3", "--n", "3",
+                         "--format", "json")
+    assert (code, err) == (0, "")
+    weights = [sum(map(inversions, tup)) for tup in tuples]
+    payload = {"m": 3, "n": 3,
+               "poly": [str(c) for c in weight_poly(weights).coeffs],
+               "tuples": [{"perms": [list(p) for p in tup], "inversions": w}
+                          for tup, w in zip(tuples, weights)]}
+    assert out == json.dumps(payload, indent=2) + "\n"
+    assert len(payload["tuples"]) == (0 if empty else 29)
+
+
+class _Sink:
+    """A text handle that keeps only the number of characters written."""
+
+    def __init__(self):
+        self.length = 0
+
+    def write(self, text):
+        self.length += len(text)
+
+
+def test_polys_json_render_holds_less_than_half_its_output():
+    # the rows of this table are small next to the whole (the largest is a
+    # tenth of it); holding the whole table as text, or as its row dicts,
+    # takes more than the output's length
+    args = build_parser().parse_args(["polys", "--m", "2", "--dmax", "30",
+                                      "--format", "json"])
+    cmd_polys(args)                 # builds and caches the series
+    code, write = cmd_polys(args)
+    sink = _Sink()
+    tracemalloc.start()
+    try:
+        write(sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.length > 1_000_000
+    assert peak < sink.length / 2, (peak, sink.length)
+
+
+def _fail(*args, **kwargs):
+    raise ExactDivisionError("injected")
+
+
+@pytest.mark.parametrize("code, argv, patch", [
+    (3, "polys --m 2 --dmax 2", (counting, "_div_by_s_power")),
+    # E(PGL) of the text table is computed before the first line is written
+    (3, "polys --m 2 --dmax 2", (cli, "e_polynomial")),
+    (4, "oracle --d 2 --p 5 --m 3", None),
+    (2, "polys --m 0", None),
+], ids=["identity", "text E(PGL)", "size guard", "usage"])
+def test_a_failed_command_writes_nothing(capsys, monkeypatch, tmp_path, code,
+                                         argv, patch):
+    if patch:
+        monkeypatch.setattr(*patch, _fail)
+    argv = argv.split()
+    kept = tmp_path / "kept.txt"
+    kept.write_bytes(b"an earlier table\n")
+    fresh = tmp_path / "fresh.txt"
+    assert run(capsys, *argv)[:2] == (code, "")
+    assert run(capsys, *argv, "--output", str(kept))[:2] == (code, "")
+    assert run(capsys, *argv, "--output", str(fresh))[:2] == (code, "")
+    assert kept.read_bytes() == b"an earlier table\n"
+    assert not fresh.exists()
+
+
+# verify whose suite reports a failed item, so that it exits 3 with output
+_FAILING_VERIFY = ("from charvar import verify\n"
+                   "verify.all_passed = lambda checks: False")
+
+
+@pytest.mark.parametrize("code, argv, setup", [
+    (0, "polys --m 2 --dmax 3", ""),
+    (3, "verify --m 1 --dmax 1 --primes=", _FAILING_VERIFY),
+], ids=["ok", "failed verify"])
+def test_a_reader_closed_before_the_first_byte(code, argv, setup):
+    # no traceback, nothing on stderr, and the command's own exit code
+    command, env = _cli_command(*argv.split(), setup=setup)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(command, env=env, stdout=write_end,
+                              stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (code, b"")
+
+
+def test_a_reader_closed_in_mid_output():
+    # the table is about 1.1 MB, far more than a pipe holds, so the writer
+    # is still writing when the reader goes
+    command, env = _cli_command("polys", "--m", "8", "--dmax", "12",
+                                "--format", "json")
+    with subprocess.Popen(command, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(11) == b'{\n  "m": 8,'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, err) == (0, b"")

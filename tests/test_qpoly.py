@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic, s-expansions and limits at q = 1."""
 
 import random
+from itertools import accumulate
 from decimal import Decimal
 from fractions import Fraction
 
@@ -157,6 +158,60 @@ def test_limit_at_1_reads_the_lowest_s_terms():
         else:
             assert limit_at_1(num, den) == (Fraction(u(1)) / v(1)
                                             if a == b else 0)
+
+
+def limit_at_1_reference(num, den=ONE):
+    # the full-expansion limit: both s-expansions in full, then their lowest
+    # nonzero terms
+    if den.is_zero:
+        raise ZeroDivisionError("zero denominator")
+    if num.is_zero:
+        return 0
+    vn, cn = next((k, c) for k, c in enumerate(expand_in_s(num)) if c)
+    vd, cd = next((k, c) for k, c in enumerate(expand_in_s(den)) if c)
+    if vn < vd:
+        raise PoleError(f"pole of order {vd - vn} at q = 1")
+    if vn > vd:
+        return 0
+    return qpoly._coefficient(Fraction(cn) / cd)
+
+
+def test_limit_at_1_matches_the_full_expansion():
+    rng = random.Random(1729)
+    seen = set()
+    for _ in range(200):
+        num, den = ((q - 1) ** rng.randint(0, 5) *
+                    rand_poly(rng, rng.randint(0, 6), frac=rng.random() < 0.3)
+                    for _ in range(2))
+        if rng.random() < 0.1:
+            num = ZERO
+        if den.is_zero:
+            continue
+        try:
+            want = limit_at_1_reference(num, den)
+        except PoleError as exc:
+            with pytest.raises(PoleError, match=str(exc)):
+                limit_at_1(num, den)
+            seen.add("pole")
+            continue
+        got = limit_at_1(num, den)
+        assert got == want and type(got) is type(want)
+        seen.add("limit" if want else "0")
+    assert seen == {"limit", "0", "pole"}
+
+
+def test_limit_at_1_stops_at_the_lowest_nonzero_s_term(monkeypatch):
+    # one running sum per power of s up to the lowest nonzero coefficient,
+    # not one per coefficient of the degree-40 polynomials
+    sums = []
+
+    def counted(values):
+        sums.append(1)
+        return accumulate(values)
+    monkeypatch.setattr(qpoly, "accumulate", counted)
+    num, den = (q - 1) ** 2 * (q + 2) ** 38, (q - 1) * (q + 3) ** 39
+    assert limit_at_1(num, den) == 0
+    assert len(sums) == 3 + 2
 
 
 def test_division_is_exact_or_raises():
