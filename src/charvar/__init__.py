@@ -13,15 +13,15 @@ from .arith import divisors, factorize, is_prime, mobius, partitions, totient
 from .combinatorics import (
     CensusRow, IdentityError, SizeGuardError, census_series_checks,
     connected_tuples, connected_weight_poly, connected_weight_series,
-    hall_subgroup_counts, inversions, length_gen_poly, limit_transform,
-    perm_rep_census, q_factorial, q_int, subgroup_counts,
+    hall_subgroup_counts, inversions, limit_transform, perm_rep_census,
+    q_factorial, q_int, subgroup_counts,
 )
 from .counting import (
-    CharVarTable, IntegralityError, PositivityReport, TableRow,
+    CharVarTable, IntegralityError, TableRow,
     abs_ind_counts, abs_ind_series, abs_irr_counts, abs_irr_series,
     build_table, centralizer_weight, class_weight_series, default_dmax,
     e_polynomial, euler_characteristics, orbit_counts, orbit_series,
-    positivity_report, rep_counts, rep_series, s_positive, uv_str,
+    rep_counts, rep_series, s_positive, uv_str,
 )
 from .fforacle import (
     OracleCensus, gl_enumerate, gl_order, is_absolutely_indecomposable,
@@ -40,7 +40,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CensusRow", "CharVarTable", "CheckResult", "ExactDivisionError", "Exp",
     "IdentityError", "IntegralityError", "Log", "OracleCensus", "PoleError",
-    "PositivityReport", "Pow", "QPoly", "SizeGuardError", "TSeries",
+    "Pow", "QPoly", "SizeGuardError", "TSeries",
     "TableRow", "abs_ind_counts", "abs_ind_series", "abs_irr_counts",
     "abs_irr_series", "all_passed", "build_table", "census_series_checks",
     "centralizer_weight", "class_weight_series", "connected_tuples",
@@ -48,10 +48,10 @@ __all__ = [
     "divisors", "e_polynomial", "euler_characteristics", "expand_in_s",
     "factorize", "gl_enumerate", "gl_order", "hall_subgroup_counts",
     "inversions", "irreducible_poly_count", "is_absolutely_indecomposable",
-    "is_absolutely_irreducible", "is_prime", "length_gen_poly", "limit_at_1",
+    "is_absolutely_irreducible", "is_prime", "limit_at_1",
     "limit_transform", "mobius", "orbit_census", "orbit_counts",
     "orbit_series", "partitions", "perm_rep_census", "poly_str",
-    "positivity_report", "pow_product", "q", "q_factorial", "q_int", "ratio",
+    "pow_product", "q", "q_factorial", "q_int", "ratio",
     "rep_counts", "rep_series", "run_verification", "s_positive",
     "subgroup_counts", "totient", "uv_str",
 ]

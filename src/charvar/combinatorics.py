@@ -90,11 +90,6 @@ def weight_poly(weights: Iterable[int]) -> QPoly:
     return QPoly([hist[w] for w in range(max(hist, default=-1) + 1)])
 
 
-def length_gen_poly(n: int) -> QPoly:
-    """Sum of q^inversions over all of S_n (equals the q-factorial)."""
-    return weight_poly(map(inversions, itertools.permutations(range(n))))
-
-
 # -- connected tuples and the inversion identity -------------------------------
 
 

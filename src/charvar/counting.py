@@ -114,14 +114,6 @@ def rep_series(m: int, order: int) -> TSeries:
     return _certified_integral(Exp(abs_irr_series(m, order)), "semisimple counts")
 
 
-def _part_factor(part: int, k: int) -> QPoly:
-    # q^(part^2) * prod_{j<=k}(1 - q^-j) = q^(part^2 - k(k+1)/2) * prod (q^j - 1)
-    factor = q ** (part * part - k * (k + 1) // 2)
-    for j in range(1, k + 1):
-        factor = factor * (q ** j - 1)
-    return factor
-
-
 @lru_cache(maxsize=None)
 def centralizer_weight(lam: Tuple[int, ...]) -> QPoly:
     """The partition weight r_lambda = prod_n q^(lambda_n^2) (q^-1)_(lambda_n - lambda_n+1).
@@ -136,8 +128,11 @@ def centralizer_weight(lam: Tuple[int, ...]) -> QPoly:
     """
     out = ONE
     for n, part in enumerate(lam):
-        nxt = lam[n + 1] if n + 1 < len(lam) else 0
-        out = out * _part_factor(part, part - nxt)
+        k = part - (lam[n + 1] if n + 1 < len(lam) else 0)
+        # q^(part^2) (q^-1)_k = q^(part^2 - k(k+1)/2) * prod_{j<=k} (q^j - 1)
+        out = out * q ** (part * part - k * (k + 1) // 2)
+        for j in range(1, k + 1):
+            out = out * (q ** j - 1)
     return out
 
 
@@ -284,38 +279,6 @@ def s_positive(p: QPoly) -> bool:
     return _nonnegative_ints(expand_in_s(p))
 
 
-class PositivityReport(NamedTuple):
-    m: int
-    dmax: int
-    rows: tuple                 # (d, s_coeffs tuple, positive bool)
-    irr_witness: Optional[tuple]  # (d, k, coefficient) or None
-
-    @property
-    def all_positive(self) -> bool:
-        return all(ok for _, _, ok in self.rows)
-
-
-def positivity_report(m: int, dmax: int) -> PositivityReport:
-    """s-basis expansion of every A_d plus the first negative s-coefficient
-    found among the absolutely irreducible counts (None if there is none)."""
-    reps = rep_counts(m, dmax)
-    rows = []
-    for d in range(1, dmax + 1):
-        cs = tuple(expand_in_s(reps[d]))
-        rows.append((d, cs, _nonnegative_ints(cs)))
-    witness = None
-    for d, p in enumerate(abs_irr_counts(m, dmax)):
-        if d == 0:
-            continue
-        for k, c in enumerate(expand_in_s(p)):
-            if c < 0:
-                witness = (d, k, c)
-                break
-        if witness:
-            break
-    return PositivityReport(m=m, dmax=dmax, rows=tuple(rows), irr_witness=witness)
-
-
 # -- assembled tables ----------------------------------------------------------
 
 
@@ -386,10 +349,10 @@ def build_table(m: int, dmax: int = None) -> CharVarTable:
 
 
 __all__ = [
-    "IntegralityError", "CharVarTable", "TableRow", "PositivityReport",
+    "IntegralityError", "CharVarTable", "TableRow",
     "default_dmax", "qpochhammer_series", "rep_series", "abs_irr_series",
     "abs_ind_series", "orbit_series", "class_weight_series",
     "centralizer_weight", "rep_counts", "abs_irr_counts", "abs_ind_counts",
     "orbit_counts", "e_polynomial", "uv_str", "euler_characteristics",
-    "s_positive", "positivity_report", "build_table", "poly_str",
+    "s_positive", "build_table", "poly_str",
 ]

@@ -15,14 +15,16 @@ algebra's number, keyed by the reduced echelon form of its span, and
 extends and classifies each algebra once rather than once per orbit.
 
 Matrices are flat tuples of length d*d with entries reduced mod p, row
-major, and the echelon basis of _echelon_add is their one row reduction
-besides mat_det.  All sizes are deliberately tiny; guards raise
-SizeGuardError before anything expensive starts, and an internal count
-that contradicts group theory raises IdentityError.
+major.  Their one row reduction besides mat_det is the reduced echelon
+basis of _echelon_add: kernels, inverses and algebra spans are read off
+it, and it is the census key.  All sizes are deliberately tiny; guards
+raise SizeGuardError before anything expensive starts, and an internal
+count that contradicts group theory raises IdentityError.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import operator
 from collections import Counter
@@ -83,15 +85,16 @@ def mat_det(a: tuple, d: int, p: int) -> int:
 def mat_inv(a: tuple, d: int, p: int) -> tuple:
     """Inverse of an invertible matrix over F_p, else ZeroDivisionError.
 
-    The kernel of [A | -I] has free columns d..2d-1; its vector with 1 at
-    d + j and 0 at the other free columns is (A^-1 e_j, e_j).
+    The reduced rows of [A | I] are [I | A^-1] exactly when their pivots
+    are the first d columns.
     """
-    if mat_det(a, d, p) == 0:
+    one = identity(d)
+    basis = []
+    for i in range(0, d * d, d):
+        _echelon_add(basis, a[i:i + d] + one[i:i + d], p)
+    if any(piv >= d for piv, _ in basis):
         raise ZeroDivisionError("matrix is singular")
-    minus_one = tuple(-x % p for x in identity(d))
-    cols = _nullspace([a[i * d:(i + 1) * d] + minus_one[i * d:(i + 1) * d]
-                       for i in range(d)], 2 * d, p)
-    return tuple(col[i] for i in range(d) for col in cols)
+    return tuple(x for _, row in basis for x in row[d:])
 
 
 def gl_order(d: int, p: int) -> int:
@@ -144,10 +147,12 @@ def _generators(d: int, p: int) -> list:
 
 
 def _echelon_add(basis: list, vec, p: int):
-    """Reduce vec by the (pivot, row) basis; append and return it if new.
+    """Reduce vec by the (pivot, row) basis; insert and return it if new.
 
-    Rows are scaled to 1 at their pivot and reduced against the earlier
-    rows, so one pass in order clears every pivot of vec.
+    The basis is in reduced row echelon form: in pivot order, each row 1
+    at its pivot and 0 at every other row's pivot.  So one pass in any
+    order clears every pivot of vec, the new row is cleared from the
+    others, and a subspace has one basis whatever vectors built it.
     """
     v = list(vec)
     for piv, row in basis:
@@ -158,35 +163,19 @@ def _echelon_add(basis: list, vec, p: int):
     if piv is None:
         return None
     inv = pow(v[piv], -1, p)
-    row = tuple((x * inv) % p for x in v)
-    basis.append((piv, row))
-    return row
-
-
-def _rref_key(span: list, p: int) -> tuple:
-    """Reduced row echelon rows of the subspace an _echelon_add basis
-    spans, in pivot order: one key per subspace, whatever basis built it.
-
-    Each row is 1 at its pivot and zero before it, so the rows are
-    cleared at the pivots after their own from the last pivot down; a
-    row already cleared is zero at the pivots of the others.
-    """
-    done = []
-    for piv, row in sorted(span, reverse=True):
-        for q, other in done:
-            f = row[q]
-            if f:
-                row = tuple([(x - f * y) % p for x, y in zip(row, other)])
-        done.append((piv, row))
-    return tuple(row for _, row in reversed(done))
+    new = tuple([(x * inv) % p for x in v])
+    for i, (q, row) in enumerate(basis):
+        f = row[piv]
+        if f:
+            basis[i] = (q, tuple([(x - f * y) % p for x, y in zip(row, new)]))
+    bisect.insort(basis, (piv, new))
+    return new
 
 
 def _nullspace(rows, ncols: int, p: int) -> list:
     """Kernel basis of the rows: per free column, the vector with 1 there
-    and 0 at the other free columns.  The pivot entries are set by
-    back-substitution through the _echelon_add basis in reverse insertion
-    order: a row is zero before its pivot and at every earlier row's
-    pivot, so the later pivots it reads are already set."""
+    and 0 at the other free columns.  A reduced row is zero at the other
+    pivots, so it sets its own pivot entry alone: -row[free]."""
     basis = []
     for row in rows:
         _echelon_add(basis, row, p)
@@ -197,8 +186,8 @@ def _nullspace(rows, ncols: int, p: int) -> list:
             continue
         v = [0] * ncols
         v[free] = 1
-        for piv, row in reversed(basis):
-            v[piv] = -sum(map(operator.mul, row, v)) % p
+        for piv, row in basis:
+            v[piv] = -row[free] % p
         out.append(tuple(v))
     return out
 
@@ -283,8 +272,8 @@ def _local_split(basis: list, d: int, p: int) -> bool:
 
 
 def _extend_span(span: list, mats: tuple, y: tuple, d: int, p: int) -> list:
-    """Echelon basis of the algebra generated by mats + (y,), from that of
-    the algebra generated by mats.
+    """Reduced echelon basis of the algebra generated by mats + (y,), from
+    that of the algebra generated by mats.
 
     The old span is already closed under left multiplication by mats, so
     its rows only need multiplying by y; each new row is multiplied by
@@ -321,9 +310,9 @@ def orbit_census(d: int, p: int, m: int) -> OracleCensus:
     generates: the tuple is absolutely irreducible when A is all of M_d,
     and absolutely indecomposable when the commutant End of A is local
     with residue field F_p.  So the walk of _orbit_walk carries the
-    number of A, assigned on first sight by the _rref_key of its echelon
-    span; each extension of A by a group element and each classification
-    of A is computed once, not once per orbit.
+    number of A, assigned on first sight to its reduced echelon span,
+    which is one key per algebra; each extension of A by a group element
+    and each classification of A is computed once, not once per orbit.
     """
     if m < 1:
         raise ValueError("need m >= 1")
@@ -337,7 +326,7 @@ def orbit_census(d: int, p: int, m: int) -> OracleCensus:
     # it, which has at most d*d - 1 entries since each one enlarged A
     start = [(0, identity(d))]
     algebras = [(start, ())]
-    numbers = {_rref_key(start, p): 0}
+    numbers = {tuple(start): 0}
     extended = {}
 
     def extend(a, i):
@@ -346,7 +335,7 @@ def orbit_census(d: int, p: int, m: int) -> OracleCensus:
         if b is None:
             span, gens = algebras[a]
             span = _extend_span(span, gens, group[i], d, p)
-            b = extended[key] = numbers.setdefault(_rref_key(span, p),
+            b = extended[key] = numbers.setdefault(tuple(span),
                                                    len(algebras))
             if b == len(algebras):
                 algebras.append((span, gens + (group[i],)))

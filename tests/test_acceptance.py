@@ -8,18 +8,20 @@ hide behind a shared helper.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 
 from charvar.arith import divisors, mobius, totient
 from charvar.combinatorics import (
     census_series_checks, connected_weight_poly, connected_weight_series,
-    hall_subgroup_counts, length_gen_poly, limit_transform, perm_rep_census,
+    hall_subgroup_counts, inversions, limit_transform, perm_rep_census,
     q_factorial, subgroup_counts,
 )
 from charvar.counting import (
-    abs_ind_counts, abs_irr_counts, default_dmax, e_polynomial,
-    euler_characteristics, orbit_counts, positivity_report, rep_counts,
+    abs_ind_counts, abs_irr_counts, build_table, default_dmax, e_polynomial,
+    euler_characteristics, orbit_counts, rep_counts,
     rep_series, abs_irr_series, abs_ind_series, orbit_series, uv_str,
 )
 from charvar.fforacle import orbit_census
@@ -76,9 +78,15 @@ def test_criterion_02_pgl_e_polynomial():
 
 def test_criterion_03_positivity():
     for m, dmax in [(2, 6), (3, 6), (4, 4), (5, 4)]:
-        report = positivity_report(m, dmax)
-        assert report.all_positive, (m, dmax)
-    witness = positivity_report(2, 2).irr_witness
+        rows = build_table(m, dmax).rows
+        assert [row.d for row in rows] == list(range(1, dmax + 1))
+        for row in rows:
+            assert row.positive, (m, row.d)
+            assert all(isinstance(c, int) and c >= 0 for c in row.s_coeffs)
+            assert sum((c * (q - 1) ** k for k, c in enumerate(row.s_coeffs)),
+                       ZERO) == row.rep_count, (m, row.d)
+    witness = next((d, k, c) for d, p in enumerate(abs_irr_counts(2, 2)) if d
+                   for k, c in enumerate(expand_in_s(p)) if c < 0)
     assert witness == (2, 2, -1)
     print("PASS criterion 3: full counts positive in powers of (q-1); "
           f"irreducible counts are not, witness {witness}")
@@ -100,7 +108,9 @@ def test_criterion_05_connected_tuple_inversion():
         for n in range(1, nmax + 1):
             assert series.coeff(n) == connected_weight_poly(n, m), (m, n)
     for n in range(7):
-        assert length_gen_poly(n) == q_factorial(n)
+        lengths = Counter(map(inversions, permutations(range(n))))
+        assert QPoly([lengths[k] for k in range(max(lengths) + 1)]) \
+            == q_factorial(n), n
     print("PASS criterion 5: connected-tuple enumeration inverts the "
           "weight series; inversion statistic generates the q-factorial")
 

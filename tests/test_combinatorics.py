@@ -12,8 +12,8 @@ from charvar.combinatorics import (
     CensusRow, IdentityError, SizeGuardError, _group_table,
     _invariant_prefixes, _is_transitive, census_series_checks, connected_tuples,
     connected_weight_poly, connected_weight_series, hall_subgroup_counts,
-    inversions, is_connected, length_gen_poly, limit_transform,
-    perm_rep_census, q_factorial, q_int, subgroup_counts,
+    inversions, is_connected, limit_transform, perm_rep_census,
+    q_factorial, q_int, subgroup_counts, weight_poly,
 )
 from charvar.qpoly import ONE, q
 from charvar.verify import run_verification
@@ -48,6 +48,11 @@ def test_inversions():
     assert inversions((2, 1, 0)) == 3
     assert inversions((1, 2, 0)) == 2
     assert inversions(()) == 0
+
+
+def length_gen_poly(n):
+    """Sum of q^inversions over all of S_n: the reference for q_factorial."""
+    return weight_poly(map(inversions, itertools.permutations(range(n))))
 
 
 def test_length_generating_polynomial_is_q_factorial():

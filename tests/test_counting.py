@@ -19,7 +19,7 @@ from charvar.counting import (
     CharVarTable, IntegralityError, _certified_integral, abs_ind_counts,
     abs_ind_series, abs_irr_counts, abs_irr_series, build_table,
     centralizer_weight, class_weight_series, default_dmax, e_polynomial,
-    euler_characteristics, orbit_counts, orbit_series, positivity_report,
+    euler_characteristics, orbit_counts, orbit_series,
     qpochhammer_series, rep_counts, rep_series, s_positive, uv_str,
 )
 from charvar.tseries import TSeries
@@ -284,15 +284,21 @@ def test_positivity_rank2_m2():
 
 
 def test_positivity_report():
-    rep = positivity_report(2, 4)
-    assert rep.all_positive
-    assert rep.rows[1][1] == (0, 0, 1, 3, 3, 1)
+    # the table rows carry the certificate: A_d in the s-basis, and whether
+    # those coefficients are nonnegative integers
+    rows = build_table(2, 4).rows
+    assert all(row.positive for row in rows)
+    assert [row.positive for row in rows] == [s_positive(row.rep_count)
+                                              for row in rows]
+    assert rows[1].s_coeffs == (0, 0, 1, 3, 3, 1)
     # the absolutely irreducible counts are not positive in the s-basis:
     # the rank-2 count (q-1)^2 (q^3-q^2-1) has s-expansion [0,0,-1,1,2,1]
-    assert rep.irr_witness == (2, 2, -1)
-    assert positivity_report(2, 0).rows == ()
+    witness = next((row.d, k, c) for row in rows
+                   for k, c in enumerate(expand_in_s(row.abs_irr)) if c < 0)
+    assert witness == (2, 2, -1)
+    assert build_table(2, 0).rows == ()
     with pytest.raises(ValueError, match=r"^need dmax >= 0$"):
-        positivity_report(2, -1)
+        build_table(2, -1)
 
 
 def test_build_table():
@@ -331,7 +337,7 @@ def test_build_table_guards():
 @pytest.mark.parametrize("count", [
     rep_counts, abs_irr_counts, abs_ind_counts, orbit_counts,
     qpochhammer_series, rep_series, abs_irr_series, abs_ind_series,
-    orbit_series, class_weight_series, build_table, positivity_report,
+    orbit_series, class_weight_series, build_table,
 ], ids=lambda f: f.__name__)
 def test_every_count_function_checks_m_and_dmax(count):
     # one check in front of the six series covers everything built on them

@@ -7,10 +7,9 @@ from fractions import Fraction
 import pytest
 
 from charvar.combinatorics import CensusRow
-from charvar.counting import (CharVarTable, PositivityReport, TableRow,
-                              build_table, positivity_report)
+from charvar.counting import CharVarTable, TableRow, build_table, s_positive
 from charvar.fforacle import OracleCensus
-from charvar.qpoly import q
+from charvar.qpoly import expand_in_s, q
 from charvar.verify import CheckResult
 
 
@@ -27,8 +26,6 @@ def sample_row():
 RECORDS = [
     (CensusRow, dict(n=2, m=2, total=4, orbit_count=4, transitive_count=3,
                      aut_weight=Fraction(3, 2), aut_weight_all=Fraction(2))),
-    (PositivityReport, dict(m=2, dmax=1, rows=((1, (0, 0, 1), True),),
-                            irr_witness=None)),
     (TableRow, ROW_FIELDS),
     (CharVarTable, dict(m=2, dmax=1, rows=(sample_row(),))),
     (OracleCensus, dict(d=1, p=3, m=2, group_order=2, orbits=4, abs_irr=4,
@@ -80,14 +77,23 @@ def test_record_repr():
                          "aut_weight_all=Fraction(2, 1))")
 
 
+def _irr_witness(rows):
+    # the first negative s-coefficient of an absolutely irreducible count
+    return next(((row.d, k, c) for row in rows
+                 for k, c in enumerate(expand_in_s(row.abs_irr)) if c < 0),
+                None)
+
+
 def test_all_positive():
-    assert positivity_report(1, 4).all_positive
-    report = positivity_report(2, 5)
-    assert report.all_positive and report.irr_witness == (2, 2, -1)
-    assert positivity_report(3, 4).irr_witness == (2, 3, -2)
-    mixed = PositivityReport(m=2, dmax=2, irr_witness=None,
-                             rows=((1, (0, 0, 1), True), (2, (1, -1), False)))
-    assert not mixed.all_positive
+    rows = build_table(1, 4).rows
+    assert all(row.positive for row in rows) and _irr_witness(rows) is None
+    rows = build_table(2, 5).rows
+    assert all(row.positive for row in rows)
+    assert _irr_witness(rows) == (2, 2, -1)
+    assert _irr_witness(build_table(3, 4).rows) == (2, 3, -2)
+    # the flag is s_positive of A_d, which a negative s-coefficient fails
+    assert [s_positive(p) for p in ((q - 1) ** 2, q * (q - 1) - 1)] == [
+        True, False]
 
 
 def test_to_json_dict_bytes():
