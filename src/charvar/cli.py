@@ -122,12 +122,18 @@ def _write_json(out, head: dict, key: str, items) -> None:
     out.write(close)
 
 
-def _csv_writer(out):
-    return csv.writer(out, lineterminator="\n")
+def _csv_cell(value):
+    # a JSON value as one cell: a list joined by ';', a bool in lower case;
+    # the csv module writes None as the empty cell
+    if isinstance(value, list):
+        return ";".join(value)
+    return str(value).lower() if isinstance(value, bool) else value
 
 
-def _join(values) -> str:
-    return ";".join(str(v) for v in values)
+def _write_csv(out, header, rows) -> None:
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(map(_csv_cell, row) for row in rows)
 
 
 def cmd_polys(args) -> tuple:
@@ -138,19 +144,11 @@ def cmd_polys(args) -> tuple:
                         map(TableRow.to_json_dict, table.rows))
         return EXIT_OK, write
     if args.format == "csv":
-        def write(out):
-            writer = _csv_writer(out)
-            writer.writerow(["m", "d", "A", "A_irr", "A_ind", "M", "chi_pgl",
-                             "chi_pgl_irr", "s_coeffs_A", "positive"])
-            writer.writerows([
-                table.m, row.d,
-                _join(row.rep_count.coeffs), _join(row.abs_irr.coeffs),
-                _join(row.abs_ind.coeffs), _join(row.orbits.coeffs),
-                "" if row.chi_pgl is None else str(row.chi_pgl),
-                "" if row.chi_pgl_irr is None else str(row.chi_pgl_irr),
-                _join(row.s_coeffs), str(row.positive).lower(),
-            ] for row in table.rows)
-        return EXIT_OK, write
+        # the header is spelled out: --dmax 0 prints it with no row
+        return EXIT_OK, lambda out: _write_csv(
+            out, ["m", "d", "A", "A_irr", "A_ind", "M", "chi_pgl",
+                  "chi_pgl_irr", "s_coeffs_A", "positive"],
+            ([table.m, *row.to_json_dict().values()] for row in table.rows))
     # E(PGL) can raise, so it is computed before anything is written
     epolys = [e_polynomial(table.m, row.d, group="PGL") if table.m >= 2
               else None for row in table.rows]
@@ -200,13 +198,10 @@ def cmd_verify(args) -> tuple:
         return code, lambda out: out.write(json.dumps(payload, indent=2) +
                                            "\n")
     if args.format == "csv":
-        def write(out):
-            writer = _csv_writer(out)
-            writer.writerow(["name", "passed", "detail"])
-            writer.writerows(
-                [c.name, "skip" if c.skipped else str(c.passed).lower(),
-                 c.detail] for c in checks)
-        return code, write
+        return code, lambda out: _write_csv(
+            out, ["name", "passed", "detail"],
+            ([c.name, "skip" if c.skipped else c.passed, c.detail]
+             for c in checks))
 
     def write(out):
         for c in checks:
@@ -226,11 +221,8 @@ def cmd_subgroups(args) -> tuple:
         return EXIT_OK, lambda out: out.write(json.dumps(payload, indent=2) +
                                               "\n")
     if args.format == "csv":
-        def write(out):
-            writer = _csv_writer(out)
-            writer.writerow(["n", "count"])
-            writer.writerows(enumerate(counts, start=1))
-        return EXIT_OK, write
+        return EXIT_OK, lambda out: _write_csv(out, ["n", "count"],
+                                               enumerate(counts, start=1))
     head = (f"index-n subgroup counts of the free group of rank {args.m}, "
             f"n <= {args.nmax}")
     text = head + "\n" + ",".join(str(c) for c in counts) + "\n"
@@ -250,13 +242,10 @@ def cmd_permstats(args) -> tuple:
                          for tup, w in zip(tuples, weights)))
         return EXIT_OK, write
     if args.format == "csv":
-        def write(out):
-            writer = _csv_writer(out)
-            writer.writerow([f"perm{i}" for i in range(1, args.m)] +
-                            ["inversions"])
-            writer.writerows([" ".join(map(str, perm)) for perm in tup] + [w]
-                             for tup, w in zip(tuples, weights))
-        return EXIT_OK, write
+        return EXIT_OK, lambda out: _write_csv(
+            out, [f"perm{i}" for i in range(1, args.m)] + ["inversions"],
+            ([" ".join(map(str, perm)) for perm in tup] + [w]
+             for tup, w in zip(tuples, weights)))
 
     def write(out):
         out.write(f"connected {args.m - 1}-tuples of permutations of "
@@ -274,11 +263,7 @@ def cmd_oracle(args) -> tuple:
         return EXIT_OK, lambda out: out.write(
             json.dumps(census._asdict(), indent=2) + "\n")
     if args.format == "csv":
-        def write(out):
-            writer = _csv_writer(out)
-            writer.writerow(census._fields)
-            writer.writerow(census)
-        return EXIT_OK, write
+        return EXIT_OK, lambda out: _write_csv(out, census._fields, [census])
     text = (f"brute-force census of {census.m}-tuples in GL_{census.d}"
             f"(F_{census.p}), group order {census.group_order}\n"
             f"orbits: {census.orbits}\n"

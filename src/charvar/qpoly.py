@@ -66,6 +66,17 @@ def _coefficient(c) -> Scalar:
     raise TypeError(f"cannot use {c!r} as a QPoly coefficient")
 
 
+def _power(base, n: int, one):
+    """base ** n by square-and-multiply, for n >= 0 and any ring element."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base if n > 1 else base
+        n >>= 1
+    return result
+
+
 def _all_int(cs) -> bool:
     # exact type: bool and other int subclasses take the normalising path
     return set(map(type, cs)) <= {int}
@@ -255,14 +266,7 @@ class QPoly:
     def __pow__(self, n: int) -> "QPoly":
         if n < 0:
             raise ValueError("negative power of a QPoly")
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return _power(self, n, ONE)
 
     def __divmod__(self, other: "QPoly"):
         if isinstance(other, (int, Fraction)):

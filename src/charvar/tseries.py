@@ -1,9 +1,11 @@
 """Truncated formal power series in t over exact q-coefficients.
 
-A TSeries carries its truncation order explicitly: it represents an element
-of Q[q][[t]] modulo t^(order+1).  Binary operations truncate to the smaller
-order, so precision can only shrink, never silently extend.  Every
-coefficient is a QPoly; int and Fraction scalars are taken as constants.
+A TSeries carries its truncation order explicitly: it stores order + 1
+coefficients and represents an element of Q[q][[t]] modulo t^(order+1).
+Binary operations truncate to the smaller order, so precision can only
+shrink, never silently extend.  Every coefficient is a QPoly; a scalar c
+is taken as the constant QPoly((c,)), so QPoly's rule on exact
+coefficients is the one rule here too.
 """
 
 from __future__ import annotations
@@ -12,15 +14,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .arith import binom2
-from .qpoly import QPoly, ZERO, ONE, _dot
-
-
-def _as_coeff(c) -> QPoly:
-    if isinstance(c, QPoly):
-        return c
-    if isinstance(c, (int, Fraction)):
-        return QPoly((c,))
-    raise TypeError(f"cannot use {c!r} as a series coefficient")
+from .qpoly import QPoly, ZERO, ONE, _dot, _power
 
 
 class TSeries:
@@ -31,16 +25,15 @@ class TSeries:
     True
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("coeffs",)
 
     def __init__(self, order: int, coeffs: Iterable = ()):
         if order < 0:
             raise ValueError("order must be >= 0")
-        cs = [_as_coeff(c) for c in coeffs]
+        cs = [c if isinstance(c, QPoly) else QPoly((c,)) for c in coeffs]
         if len(cs) > order + 1:
             raise ValueError("more coefficients than the order allows")
         cs.extend([ZERO] * (order + 1 - len(cs)))
-        object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(cs))
 
     def __setattr__(self, name, value):
@@ -51,8 +44,12 @@ class TSeries:
         cs = [ZERO] * (order + 1)
         for d, c in terms.items():
             if d <= order:
-                cs[d] = _as_coeff(c)
+                cs[d] = c
         return TSeries(order, cs)
+
+    @property
+    def order(self) -> int:
+        return len(self.coeffs) - 1
 
     @staticmethod
     def one(order: int) -> "TSeries":
@@ -77,10 +74,10 @@ class TSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TSeries):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        return hash(self.coeffs)
 
     # -- ring structure ------------------------------------------------------
 
@@ -110,8 +107,7 @@ class TSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, QPoly)):
-            c = _as_coeff(other)
-            return self.map_coeffs(lambda x: x * c)
+            return self.map_coeffs(lambda x: x * other)
         if not isinstance(other, TSeries):
             return NotImplemented
         n = min(self.order, other.order)
@@ -124,14 +120,7 @@ class TSeries:
     def __pow__(self, n: int) -> "TSeries":
         if n < 0:
             return self.inverse() ** (-n)
-        result = TSeries.one(self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return _power(self, n, TSeries.one(self.order))
 
     def inverse(self) -> "TSeries":
         """Multiplicative inverse; requires constant term 1.

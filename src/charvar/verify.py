@@ -11,14 +11,13 @@ neither as passed nor as failed.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 from typing import NamedTuple
 
 from .arith import divisors, mobius, totient
 from .combinatorics import (
-    IdentityError, SizeGuardError, census_series_checks, connected_weight_poly,
-    connected_weight_series, hall_subgroup_counts, limit_transform,
-    subgroup_counts,
+    IdentityError, SizeGuardError, _exceeds, census_series_checks,
+    connected_weight_poly, connected_weight_series, hall_subgroup_counts,
+    limit_transform, subgroup_counts,
 )
 from .counting import (
     abs_ind_counts, abs_ind_series, abs_irr_counts, class_weight_series,
@@ -142,7 +141,7 @@ def _check_connected_inversion(m, dmax):
     if m == 1:
         return "skipped: needs m >= 2"
     bound = 1
-    while bound < 5 and factorial(bound + 1) ** (m - 1) <= 20_000:
+    while bound < 5 and not _exceeds(range(1, bound + 2), m - 1, 20_000):
         bound += 1
     series = connected_weight_series(m, bound)
     for n in range(1, bound + 1):
@@ -168,7 +167,7 @@ def _check_subgroup_limits(m, dmax):
 
 def _check_census(m, dmax):
     bound = 1
-    while bound < 4 and factorial(bound + 1) ** m <= 20_000:
+    while bound < 4 and not _exceeds(range(1, bound + 2), m, 20_000):
         bound += 1
     results = census_series_checks(bound, m)
     _require(all(results.values()), str(results))

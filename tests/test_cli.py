@@ -357,7 +357,8 @@ def test_internal_arithmetic_failures_exit_3(capsys, monkeypatch, error):
 # sha256 of stdout; the oracle output is rendered from the OracleCensus
 # fields, so renaming or reordering a field changes these bytes.  The 15
 # oracle boxes run d = 1..3, p = 2..7 and m = 1..17, and include the
-# largest boxes the size guard admits
+# largest boxes the size guard admits.  The polys CSV cells are the
+# TableRow JSON values; --dmax 0 prints the header alone
 OUTPUT_DIGESTS = {
     ("oracle", "--d", "1", "--p", "2", "--m", "1", "--format", "text"):
         "36f6607deb19830418cc176e98d07534bcff166713e3063934e73ba853bc4296",
@@ -455,6 +456,24 @@ OUTPUT_DIGESTS = {
         "e7a95c03bdb8343e07a2bdd8e3708a48bd69abf70264ee2bf85f9ca948e6f1c6",
     ("permstats", "--m", "2", "--n", "3", "--format", "csv"):
         "0ee4ef720fd809f05faba78c7ceabfed641f2a0cb67faa11e858fc8f2c61409e",
+    ("polys", "--m", "1", "--dmax", "3", "--format", "csv"):
+        "05f861a066d1cbc2727003f6ba7226d2b7611c30d601f0ddb8aa2696b4acc901",
+    ("polys", "--m", "2", "--dmax", "4", "--format", "csv"):
+        "1e2ec44664e78fa63a21eb79e32c1786b37f12cf1aaa004047cc5fe8e78df484",
+    ("polys", "--m", "3", "--dmax", "3", "--format", "csv"):
+        "16eb838755e5e78bf4dbe56b1712a70e8054ce16e66b20236e04cb830398cefa",
+    ("polys", "--m", "2", "--dmax", "0", "--format", "csv"):
+        "ec3404d358b98c5c6a5c4ecd140a020c5cfacdc487a8e846b4f5b640cb4bf094",
+    ("subgroups", "--m", "2", "--nmax", "8", "--format", "text"):
+        "671f715212c88b087a7bb7259d0723b36bc24fedc331f95615852a0dcea549bd",
+    ("subgroups", "--m", "2", "--nmax", "8", "--format", "json"):
+        "bfa6b02d678a5cc01745ca64662b458e22d43e6b2de6e61a27aaada6f7479d7d",
+    ("subgroups", "--m", "2", "--nmax", "8", "--format", "csv"):
+        "682d286386ae903e9d7b0a2318b5232713349ccae6d053d64d980882093ea27f",
+    ("verify", "--m", "1", "--dmax", "2", "--format", "csv"):
+        "d087e23f1bd222852192588ee9be6c97b88d917ffa755b8d293776de08d8ed3e",
+    ("verify", "--m", "2", "--primes", "", "--format", "csv"):
+        "8837ce0ca8228b22fa4791507d1223f533c218ef7558a05fc36533f1e2edb5f4",
 }
 
 

@@ -29,6 +29,16 @@ def test_ring_ops_basic():
     assert (q ** 2 - 1).divexact(q - 1) == q + 1
 
 
+def test_pow_is_repeated_multiplication():
+    p = q - Fraction(1, 2)
+    power = ONE
+    for n in range(10):
+        assert p ** n == power
+        power = power * p
+    with pytest.raises(ValueError, match="negative power"):
+        p ** -1
+
+
 def test_divexact_rejects_inexact():
     with pytest.raises(ExactDivisionError):
         (q ** 2 + 1).divexact(q - 1)

@@ -1,6 +1,7 @@
 """Truncated power series over exact q-coefficients."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -122,11 +123,17 @@ def test_qpower_twist_is_a_shift():
 def test_coefficients_are_polynomials():
     f = TSeries(2, [1, Fraction(1, 2), q])
     assert all(isinstance(c, QPoly) for c in f.coeffs)
+    # a scalar passes QPoly's one coefficient gate, message included
     for bad in (1.5, "q", TSeries.one(1)):
-        with pytest.raises(TypeError):
+        message = f"cannot use {bad!r} as a QPoly coefficient"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             TSeries(2, [1, bad])
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="QPoly coefficient"):
             TSeries.from_terms(2, {1: bad})
+    assert TSeries(2, [Fraction(4, 2), True]) == TSeries(2, [QPoly([2]), 1])
+    assert f * 2 == f * QPoly([2]) == TSeries(2, [2, 1, 2 * q])
+    with pytest.raises(TypeError):
+        f * 0.5
 
 
 def test_coeff_and_truncate():
@@ -145,3 +152,19 @@ def test_pow():
     assert f ** 2 == f * f
     assert f ** 0 == TSeries.one(4)
     assert f ** -1 == f.inverse()
+    g = TSeries(5, [1, q - 1, Fraction(1, 2)])
+    power = TSeries.one(5)
+    for n in range(10):
+        assert g ** n == power
+        assert g ** -n == power.inverse()
+        power = power * g
+
+
+def test_order_is_one_less_than_the_stored_coefficients():
+    f = TSeries(3, [1, q])
+    assert f.order == 3 and len(f.coeffs) == 4
+    # equal coefficients up to t^2, different orders: different series
+    assert TSeries(2, [1, q]) != f and TSeries(2, [1, q]) == f.truncate(2)
+    assert hash(TSeries(3, [1, q, 0])) == hash(f)
+    with pytest.raises(AttributeError):
+        f.order = 4

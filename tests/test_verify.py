@@ -139,3 +139,39 @@ def test_exp_structure_fails_on_a_perturbed_series(monkeypatch, name):
     (item,) = [c for c in checks if c.name == "exponential structure"]
     assert not item.passed and not item.skipped
     assert item.detail == "identity violated"
+
+
+def _plus_one_each(real):
+    return lambda *args: [c + 1 for c in real(*args)]
+
+
+# (item, callee in charvar.verify, the callee's perturbed replacement)
+FAULTS = [
+    ("rank-1 counts", "rep_counts", _plus_one_each),
+    ("plethystic roundtrip", "Exp", lambda real: lambda f: real(f) * 2),
+    ("power product formula", "pow_product",
+     lambda real: lambda f: real(f) * 2),
+    ("connected tuple inversion", "connected_weight_poly",
+     lambda real: lambda n, m: real(n, m) + 1),
+    ("subgroup count routes", "hall_subgroup_counts", _plus_one_each),
+    ("subgroup count limits", "limit_transform", _plus_one_each),
+    ("permutation census", "census_series_checks",
+     lambda real: lambda n, m: {**real(n, m), "plethystic_exp": False}),
+    ("Euler characteristics", "euler_characteristics",
+     lambda real: lambda m, d: tuple(chi + 1 for chi in real(m, d))),
+    ("finite field oracle p=2", "orbit_census",
+     lambda real: lambda d, p, m: real(d, p, m)._replace(
+         abs_ind=real(d, p, m).abs_ind + 1)),
+]
+
+
+@pytest.mark.parametrize("name, callee, perturb", FAULTS,
+                         ids=[fault[0] for fault in FAULTS])
+def test_each_item_fails_on_a_perturbed_callee(capsys, monkeypatch, name,
+                                               callee, perturb):
+    monkeypatch.setattr(verify, callee, perturb(getattr(verify, callee)))
+    checks = run_verification(2, dmax=2, primes=(2,))
+    (item,) = [c for c in checks if c.name == name]
+    assert item.passed is False and item.skipped is False
+    assert main(["verify", "--m", "2", "--dmax", "2", "--primes", "2"]) == 3
+    assert f"[FAIL] {name}: " in capsys.readouterr().out
