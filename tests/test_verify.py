@@ -160,8 +160,8 @@ FAULTS = [
     ("Euler characteristics", "euler_characteristics",
      lambda real: lambda m, d: tuple(chi + 1 for chi in real(m, d))),
     ("finite field oracle p=2", "orbit_census",
-     lambda real: lambda d, p, m: real(d, p, m)._replace(
-         abs_ind=real(d, p, m).abs_ind + 1)),
+     lambda real: lambda d, p, m: (c := real(d, p, m))._replace(
+         abs_ind=c.abs_ind + 1)),
 ]
 
 
