@@ -81,6 +81,8 @@ def q_int(n: int) -> QPoly:
 @lru_cache(maxsize=None)
 def q_factorial(n: int) -> QPoly:
     """[n]_q! = prod_{i=1..n} [i]_q."""
+    if n < 0:
+        raise ValueError("q-factorial of a negative integer")
     return ONE if n == 0 else q_factorial(n - 1) * q_int(n)
 
 

@@ -15,11 +15,12 @@ algebra's number, keyed by the reduced echelon form of its span, and
 extends and classifies each algebra once rather than once per orbit.
 
 Matrices are flat tuples of length d*d with entries reduced mod p, row
-major.  Their one row reduction besides mat_det is the reduced echelon
-basis of _echelon_add: kernels, inverses and algebra spans are read off
-it, and it is the census key.  All sizes are deliberately tiny; guards
-raise SizeGuardError before anything expensive starts, and an internal
-count that contradicts group theory raises IdentityError.
+major.  Their one row reduction is the reduced echelon basis of
+_echelon_add: kernels, inverses, invertibility, algebra spans and the
+nilpotency chains of the locality test are read off it, and it is the
+census key.  All sizes are deliberately tiny; guards raise
+SizeGuardError before anything expensive starts, and an internal count
+that contradicts group theory raises IdentityError.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ from .combinatorics import (IdentityError, SizeGuardError, _exceeds,
 __all__ = [
     "OracleCensus", "algebra_span_dim", "endomorphism_basis", "gl_enumerate",
     "gl_order", "identity", "is_absolutely_indecomposable",
-    "is_absolutely_irreducible", "mat_det", "mat_inv", "mat_mul",
-    "orbit_census",
+    "is_absolutely_irreducible", "mat_inv", "mat_mul", "orbit_census",
 ]
 
 # gl_order and gl_enumerate admit p**(d*d); the census |GL_d(F_p)|**max(m, 2)
@@ -59,27 +59,6 @@ def mat_mul(a: tuple, b: tuple, d: int, p: int) -> tuple:
         for col in cols:
             out.append(sum(map(operator.mul, row, col)) % p)
     return tuple(out)
-
-
-def mat_det(a: tuple, d: int, p: int) -> int:
-    """Determinant mod p by Gaussian elimination."""
-    m = [list(a[i * d:(i + 1) * d]) for i in range(d)]
-    det = 1
-    for c in range(d):
-        pivot = next((i for i in range(c, d) if m[i][c] % p), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det = (det * m[c][c]) % p
-        inv = pow(m[c][c], -1, p)
-        for i in range(c + 1, d):
-            if m[i][c]:
-                f = (m[i][c] * inv) % p
-                for j in range(c, d):
-                    m[i][j] = (m[i][j] - f * m[c][j]) % p
-    return det % p
 
 
 def mat_inv(a: tuple, d: int, p: int) -> tuple:
@@ -121,8 +100,10 @@ def _check_enumerable(d: int, p: int) -> None:
 def gl_enumerate(d: int, p: int) -> list:
     """All invertible d-by-d matrices over F_p, in lexicographic order."""
     n = gl_order(d, p)
+    rows = range(0, d * d, d)
+    # a matrix is invertible exactly when its kernel is 0
     out = [a for a in itertools.product(range(p), repeat=d * d)
-           if mat_det(a, d, p) != 0]
+           if not _nullspace([a[i:i + d] for i in rows], d, p)]
     if len(out) != n:
         raise IdentityError(f"found {len(out)} invertible matrices, "
                             f"expected {n}")
@@ -239,36 +220,48 @@ def is_absolutely_indecomposable(mats, d: int, p: int) -> bool:
 
     A tuple stays indecomposable over every field extension exactly when
     its endomorphism algebra E has a unique maximal ideal and E modulo
-    that ideal is F_p itself.  Both conditions are read off from the
-    number of singular elements of E; a singular element of E, having a
-    polynomial of itself as candidate inverse, is singular in E too.
+    that ideal is F_p itself, that is, when E is F_p * 1 plus a nilpotent
+    ideal; _local_split tests that.
     """
     return _local_split(endomorphism_basis(mats, d, p), d, p)
 
 
 def _local_split(basis: list, d: int, p: int) -> bool:
-    """True when the unital algebra E spanned by the k basis elements is
-    local with residue field F_p, that is, has p**(k-1) singular elements.
-
-    Modulo its radical, E is a product of blocks M_n(F_{p^f}), and an
-    element is a unit when it is one modulo the radical.  So the units are
-    the fraction prod (1 - p**-a) of E, one factor for each block and each
-    a = f*j, j = 1..n: 1 - 1/p for the single block F_p.  Otherwise, over
-    the common denominator p**S, S = sum a, the numerator prod (p**a - 1)
-    is prime to p and (p - 1) * p**(S-1) is not, unless S = 1.
+    """True when the unital algebra E spanned by the basis is local with
+    residue field F_p: when each basis element b has an l in F_p with
+    b - l*1 nilpotent, and these parts generate a nilpotent algebra I.
+    Then I lies in E, as 1 does, so E = F_p*1 + I with I a nilpotent
+    ideal; conversely the parts of a local E lie in its nilpotent radical.
     """
-    k = len(basis)
-    if k == 1:                       # F_p * 1
-        return True
-    singular = 0
-    for coeffs in itertools.product(range(p), repeat=k):
-        e = [0] * (d * d)
-        for c, b in zip(coeffs, basis):
-            if c:
-                for i in range(d * d):
-                    e[i] = (e[i] + c * b[i]) % p
-        singular += mat_det(tuple(e), d, p) == 0
-    return singular == p ** (k - 1)
+    one = identity(d)
+    parts = []
+    for b in basis:
+        shifts = (tuple([(x - lam * e) % p for x, e in zip(b, one)])
+                  for lam in range(p))
+        part = next((n for n in shifts if _nilpotent((n,), d, p)), None)
+        if part is None:
+            return False
+        parts.append(part)
+    return _nilpotent(parts, d, p)
+
+
+def _nilpotent(mats, d: int, p: int) -> bool:
+    """True when the matrices generate a nilpotent algebra I: when the
+    chain V = F_p^d, I*V, I^2*V, ..., each step spanned by the images of
+    the last under every matrix, reaches 0.  It only shrinks, and a step
+    that does not shrink repeats forever."""
+    one = identity(d)
+    vecs = [one[i:i + d] for i in range(0, d * d, d)]
+    while vecs:
+        span = []
+        for x in mats:
+            for v in vecs:
+                _echelon_add(span, [sum(map(operator.mul, x[i:i + d], v)) % p
+                                    for i in range(0, d * d, d)], p)
+        if len(span) == len(vecs):
+            return False
+        vecs = [row for _, row in span]
+    return True
 
 
 def _extend_span(span: list, mats: tuple, y: tuple, d: int, p: int) -> list:

@@ -41,8 +41,12 @@ class TSeries:
 
     @staticmethod
     def from_terms(order: int, terms: dict) -> "TSeries":
+        """The series sum c t^d over the {d: c} terms; terms past the order
+        are dropped, and a negative d raises ValueError."""
         cs = [ZERO] * (order + 1)
         for d, c in terms.items():
+            if d < 0:
+                raise ValueError(f"a power series has no term t^{d}")
             if d <= order:
                 cs[d] = c
         return TSeries(order, cs)

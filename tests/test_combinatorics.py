@@ -62,6 +62,13 @@ def test_length_generating_polynomial_is_q_factorial():
     assert q_int(4) == 1 + q + q ** 2 + q ** 3
 
 
+def test_q_factorial_of_a_negative_integer_raises():
+    for n in (-1, -5):
+        with pytest.raises(ValueError, match="negative integer"):
+            q_factorial(n)
+    assert q_factorial(0) == 1
+
+
 def test_connected_tuples_small():
     assert connected_tuples(1, 2) == [((0,),)]
     two = connected_tuples(2, 2)

@@ -19,7 +19,7 @@ from charvar.counting import abs_ind_counts, abs_irr_counts, orbit_counts
 from charvar.fforacle import (
     OracleCensus, algebra_span_dim, endomorphism_basis, gl_enumerate,
     gl_order, identity, is_absolutely_indecomposable,
-    is_absolutely_irreducible, mat_det, mat_inv, mat_mul, orbit_census,
+    is_absolutely_irreducible, mat_inv, mat_mul, orbit_census,
 )
 
 I2 = (1, 0, 0, 1)
@@ -28,12 +28,35 @@ SWAP = (0, 1, 1, 0)
 ORDER3 = (0, 1, 1, 1)       # irreducible characteristic polynomial over F_2
 
 
+def _mat_det(a, d, p):
+    """Determinant mod p by Gaussian elimination, kept apart from the
+    oracle's row reduction so that the locality reference shares none of
+    its code."""
+    m = [list(a[i * d:(i + 1) * d]) for i in range(d)]
+    det = 1
+    for c in range(d):
+        pivot = next((i for i in range(c, d) if m[i][c] % p), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det = (det * m[c][c]) % p
+        inv = pow(m[c][c], -1, p)
+        for i in range(c + 1, d):
+            if m[i][c]:
+                f = (m[i][c] * inv) % p
+                for j in range(c, d):
+                    m[i][j] = (m[i][j] - f * m[c][j]) % p
+    return det % p
+
+
 def test_matrix_arithmetic():
     assert mat_mul(I2, SWAP, 2, 2) == SWAP
     assert mat_mul(ORDER3, ORDER3, 2, 2) == (1, 1, 1, 0)
     assert mat_mul(mat_mul(ORDER3, ORDER3, 2, 2), ORDER3, 2, 2) == I2
-    assert mat_det(I2, 2, 5) == 1
-    assert mat_det((2, 1, 3, 4), 2, 5) == 0     # 8 - 3 = 5
+    assert _mat_det(I2, 2, 5) == 1
+    assert _mat_det((2, 1, 3, 4), 2, 5) == 0    # 8 - 3 = 5
     assert mat_inv(SWAP, 2, 3) == SWAP
     with pytest.raises(ZeroDivisionError):
         mat_inv((1, 1, 1, 1), 2, 2)
@@ -46,8 +69,9 @@ def test_det_multiplicative_and_inverse_roundtrip():
         a = tuple(rng.randrange(p) for _ in range(d * d))
         b = tuple(rng.randrange(p) for _ in range(d * d))
         prod = mat_mul(a, b, d, p)
-        assert mat_det(prod, d, p) == mat_det(a, d, p) * mat_det(b, d, p) % p
-        if mat_det(a, d, p):
+        assert _mat_det(prod, d, p) == (
+            _mat_det(a, d, p) * _mat_det(b, d, p) % p)
+        if _mat_det(a, d, p):
             assert mat_mul(a, mat_inv(a, d, p), d, p) == identity(d)
             assert mat_mul(mat_inv(a, d, p), a, d, p) == identity(d)
         else:
@@ -181,15 +205,16 @@ def test_census_checks_its_orbit_count_by_burnside(monkeypatch, capsys):
 
 def _subspace_local_split(basis, d, p):
     """Reference locality test: the singular elements of the algebra form
-    a linear subspace of codimension one."""
+    a linear subspace of codimension one.  It sweeps all p**k elements
+    and uses no row reduction of the oracle's."""
     k = len(basis)
     nonunits = []
     for coeffs in itertools.product(range(p), repeat=k):
         e = tuple(sum(c * b[i] for c, b in zip(coeffs, basis)) % p
                   for i in range(d * d))
-        if mat_det(e, d, p) == 0:
+        if _mat_det(e, d, p) == 0:
             nonunits.append(coeffs)
-    rank = k - len(fforacle._nullspace(nonunits, k, p))
+    rank = k - len(_nullspace_reference(nonunits, k, p))
     return len(nonunits) == p ** rank and k - rank == 1
 
 
@@ -222,6 +247,56 @@ def test_local_split_count_matches_subspace_criterion():
                 local += split
                 other += not split
     assert local >= 50 and other >= 50, (local, other)
+
+
+def test_local_split_matches_subspace_criterion_on_every_admitted_box(
+        monkeypatch):
+    # every d >= 2 box the default guard admits, and the next one refused
+    admitted = [(2, 2, m) for m in range(1, 7)] + [
+        (2, 3, m) for m in range(1, 4)] + [(3, 2, 1), (3, 2, 2)]
+    for box in [(2, 2, 7), (2, 3, 4), (3, 2, 3), (2, 5, 1)]:
+        with pytest.raises(SizeGuardError):
+            orbit_census(*box)
+    seen = []
+
+    def compared(basis, d, p, real=fforacle._local_split):
+        split = real(basis, d, p)
+        assert split == _subspace_local_split(basis, d, p), (basis, d, p)
+        seen.append(split)
+        return split
+    monkeypatch.setattr(fforacle, "_local_split", compared)
+    for box in admitted:
+        orbit_census(*box)
+    assert True in seen and False in seen and len(seen) > 50, len(seen)
+
+
+def test_local_split_needs_the_parts_to_generate_a_nilpotent_algebra():
+    # a basis of M_2(F_p) whose elements are each a scalar plus a nilpotent;
+    # over F_2 these elements span only the matrices with equal diagonal
+    for p in (3, 5, 7):
+        basis = [I2, (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, p - 1, p - 1)]
+        assert len(_nullspace_reference(basis, 4, p)) == 0
+        assert not fforacle._local_split(basis, 2, p)
+        assert not _subspace_local_split(basis, 2, p)
+
+
+def _jordan(d):
+    """One unipotent Jordan block: ones on the diagonal and just above it."""
+    return tuple(int(j in (i, i + 1)) for i in range(d) for j in range(d))
+
+
+def test_local_split_on_algebras_too_big_to_sweep():
+    # End(I_4) over F_2 has 2**16 elements and End(I_3) over F_3 3**9
+    for d, p in [(4, 2), (3, 3)]:
+        basis = endomorphism_basis((identity(d),), d, p)
+        assert len(basis) == d * d
+        assert not fforacle._local_split(basis, d, p)
+    # the polynomials in one Jordan block form a local algebra
+    for p in (2, 3):
+        basis = endomorphism_basis((_jordan(4),), 4, p)
+        assert len(basis) == 4
+        assert fforacle._local_split(basis, 4, p)
+        assert is_absolutely_indecomposable((_jordan(4),), 4, p)
 
 
 def _rref_reference(rows, ncols, p):

@@ -147,6 +147,13 @@ def test_coeff_and_truncate():
     assert f.truncate(7) == f
 
 
+def test_from_terms_drops_terms_past_the_order_and_refuses_negative_ones():
+    assert TSeries.from_terms(2, {1: q, 3: 7}) == TSeries(2, [0, q])
+    for d in (-1, -4):
+        with pytest.raises(ValueError, match=f"no term t\\^{d}$"):
+            TSeries.from_terms(3, {0: 1, d: 5})
+
+
 def test_pow():
     f = TSeries(4, [1, 1])
     assert f ** 2 == f * f
