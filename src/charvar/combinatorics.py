@@ -80,10 +80,15 @@ def q_int(n: int) -> QPoly:
 
 @lru_cache(maxsize=None)
 def q_factorial(n: int) -> QPoly:
-    """[n]_q! = prod_{i=1..n} [i]_q."""
+    """[n]_q! = prod_{i=1..n} [i]_q, in a loop: the coefficient of q^j in
+    c * [i]_q is the running sum of c up to j minus that up to j - i."""
     if n < 0:
         raise ValueError("q-factorial of a negative integer")
-    return ONE if n == 0 else q_factorial(n - 1) * q_int(n)
+    coeffs = [1]
+    for i in range(2, n + 1):
+        run = list(itertools.accumulate(coeffs + [0] * (i - 1)))
+        coeffs = [s - t for s, t in zip(run, [0] * i + run)]
+    return QPoly(coeffs)
 
 
 def weight_poly(weights: Iterable[int]) -> QPoly:
@@ -377,6 +382,8 @@ def census_series_checks(nmax: int, m: int) -> dict:
     of transitive orbit counts and W(t) = sum of transitive aut weights:
     G = exp(W), R = Exp(I), and the weight of degree n equals J_n/n.
     """
+    if nmax < 1:
+        raise ValueError("need nmax >= 1")
     rows = [perm_rep_census(n, m) for n in range(1, nmax + 1)]
     g = TSeries(nmax, [1] + [row.aut_weight_all for row in rows])
     r = TSeries(nmax, [1] + [row.orbit_count for row in rows])

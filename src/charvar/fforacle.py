@@ -36,9 +36,9 @@ from .combinatorics import (IdentityError, SizeGuardError, _exceeds,
                             _group_table, _orbit_walk)
 
 __all__ = [
-    "OracleCensus", "algebra_span_dim", "endomorphism_basis", "gl_enumerate",
-    "gl_order", "identity", "is_absolutely_indecomposable",
-    "is_absolutely_irreducible", "mat_inv", "mat_mul", "orbit_census",
+    "OracleCensus", "endomorphism_basis", "gl_enumerate", "gl_order",
+    "identity", "is_absolutely_indecomposable", "is_absolutely_irreducible",
+    "mat_inv", "mat_mul", "orbit_census",
 ]
 
 # gl_order and gl_enumerate admit p**(d*d); the census |GL_d(F_p)|**max(m, 2)
@@ -79,15 +79,6 @@ def mat_inv(a: tuple, d: int, p: int) -> tuple:
 def gl_order(d: int, p: int) -> int:
     """Order of GL_d(F_p), the invertible d-by-d matrices over F_p; past
     the enumerable box p**(d*d) <= 100000 it raises SizeGuardError."""
-    _check_enumerable(d, p)
-    q = p ** d
-    out = 1
-    for i in range(d):
-        out *= q - p ** i
-    return out
-
-
-def _check_enumerable(d: int, p: int) -> None:
     # sized before primality, whose trial division of a large p never ends
     if d >= 1 and p >= 2 and _exceeds((p,), d * d, _ENUM_LIMIT):
         raise SizeGuardError(f"enumerating {p}**{d * d} matrices is too much")
@@ -95,6 +86,11 @@ def _check_enumerable(d: int, p: int) -> None:
         raise ValueError("dimension must be at least 1")
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
+    q = p ** d
+    out = 1
+    for i in range(d):
+        out *= q - p ** i
+    return out
 
 
 def gl_enumerate(d: int, p: int) -> list:
@@ -173,30 +169,14 @@ def _nullspace(rows, ncols: int, p: int) -> list:
     return out
 
 
-def algebra_span_dim(mats, d: int, p: int) -> int:
-    """Dimension of the unital matrix algebra generated by the tuple.
-
-    Grows an echelon basis by left-multiplying reached elements by the
-    generators, starting from the identity; every product of generators
-    is reached that way.
-    """
-    n = d * d
-    basis = []
-    start = identity(d)
-    work = [start]
-    _echelon_add(basis, start, p)
-    while work and len(basis) < n:
-        w = work.pop()
-        for x in mats:
-            v = mat_mul(x, w, d, p)
-            if _echelon_add(basis, v, p) is not None:
-                work.append(v)
-    return len(basis)
-
-
 def is_absolutely_irreducible(mats, d: int, p: int) -> bool:
-    """True when the tuple generates the full d*d matrix algebra."""
-    return algebra_span_dim(mats, d, p) == d * d
+    """True when the tuple generates the full d*d matrix algebra, whose
+    span _extend_span grows from the identity one entry at a time."""
+    span, gens = [(0, identity(d))], ()
+    for y in mats:
+        span = _extend_span(span, gens, y, d, p)
+        gens += (y,)
+    return len(span) == d * d
 
 
 def endomorphism_basis(mats, d: int, p: int) -> list:
@@ -338,7 +318,7 @@ def orbit_census(d: int, p: int, m: int) -> OracleCensus:
     for a, count in leaves.items():
         span, gens = algebras[a]
         irr = len(span) == d * d
-        ind = _local_split(endomorphism_basis(gens, d, p), d, p)
+        ind = is_absolutely_indecomposable(gens, d, p)
         # irreducible forces indecomposable; anything else is a bug
         if irr and not ind:
             raise IdentityError(f"an absolutely irreducible {m}-tuple "

@@ -1,12 +1,17 @@
 """Permutation statistics, subgroup counts, census identities."""
 
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
+import charvar
 from charvar import combinatorics
 from charvar.combinatorics import (
     CensusRow, IdentityError, SizeGuardError, _group_table,
@@ -67,6 +72,21 @@ def test_q_factorial_of_a_negative_integer_raises():
         with pytest.raises(ValueError, match="negative integer"):
             q_factorial(n)
     assert q_factorial(0) == 1
+
+
+def test_q_factorial_does_not_recurse():
+    # 60 frames could not hold one frame per n up to 100
+    script = ("import sys; sys.setrecursionlimit(60); "
+              "from math import factorial; "
+              "from charvar.combinatorics import q_factorial; "
+              "f = q_factorial(100); "
+              "assert f.degree == 4950 and f.evaluate(1) == factorial(100)")
+    src = str(Path(charvar.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_connected_tuples_small():
@@ -280,6 +300,13 @@ def test_census_exponential_identities():
     checks = census_series_checks(4, 2)
     assert checks == {"weighted_exp": True, "plethystic_exp": True,
                       "weights_are_subgroup_counts": True}
+
+
+def test_census_exponential_identities_need_a_degree():
+    # with no degree to compare the three checks would hold vacuously
+    for nmax in (0, -3):
+        with pytest.raises(ValueError, match=r"^need nmax >= 1$"):
+            census_series_checks(nmax, 2)
 
 
 def test_size_guards():

@@ -17,9 +17,9 @@ from charvar.combinatorics import (IdentityError, SizeGuardError,
                                    _group_table, _orbits)
 from charvar.counting import abs_ind_counts, abs_irr_counts, orbit_counts
 from charvar.fforacle import (
-    OracleCensus, algebra_span_dim, endomorphism_basis, gl_enumerate,
-    gl_order, identity, is_absolutely_indecomposable,
-    is_absolutely_irreducible, mat_inv, mat_mul, orbit_census,
+    OracleCensus, endomorphism_basis, gl_enumerate, gl_order, identity,
+    is_absolutely_indecomposable, is_absolutely_irreducible, mat_inv, mat_mul,
+    orbit_census,
 )
 
 I2 = (1, 0, 0, 1)
@@ -119,13 +119,49 @@ def test_burnside_agrees_with_sweep():
             c ** (m - 1) for _, _, c in _classes(d, p))
 
 
+def _algebra_span(mats, d, p):
+    """The span of the unital algebra the tuple generates, grown from the
+    identity one entry at a time as the census grows it."""
+    span, gens = [(0, identity(d))], ()
+    for y in mats:
+        span = fforacle._extend_span(span, gens, y, d, p)
+        gens += (y,)
+    return span
+
+
 def test_algebra_span_classifier():
-    assert algebra_span_dim((I2, I2), 2, 2) == 1
-    assert algebra_span_dim((JORDAN, I2), 2, 2) == 2
-    assert algebra_span_dim((ORDER3, I2), 2, 2) == 2
-    assert algebra_span_dim((SWAP, ORDER3), 2, 2) == 4
+    assert len(_algebra_span((I2, I2), 2, 2)) == 1
+    assert len(_algebra_span((JORDAN, I2), 2, 2)) == 2
+    assert len(_algebra_span((ORDER3, I2), 2, 2)) == 2
+    assert len(_algebra_span((SWAP, ORDER3), 2, 2)) == 4
     assert is_absolutely_irreducible((SWAP, ORDER3), 2, 2)
     assert not is_absolutely_irreducible((ORDER3, ORDER3), 2, 2)
+
+
+def _word_span_dim(mats, d, p):
+    """Dimension of the span of every word of length at most d*d in the
+    tuple, by the Gauss-Jordan reference; the algebra's dimension grows
+    with each word length until it stops, so d*d - 1 lengths suffice."""
+    words = level = {identity(d)}
+    for _ in range(d * d):
+        level = {mat_mul(x, w, d, p) for x in mats for w in level}
+        words = words | level
+    return d * d - len(_nullspace_reference(sorted(words), d * d, p))
+
+
+def test_algebra_span_matches_word_reference():
+    rng = random.Random(20261021)
+    seen = set()
+    for d, p in [(2, 2), (2, 3), (2, 5), (3, 2)]:
+        for m in (1, 2, 3):
+            for _ in range(25):
+                mats = _random_tuple(rng, d, p, m)
+                dim = _word_span_dim(mats, d, p)
+                assert len(_algebra_span(mats, d, p)) == dim, (mats, p)
+                irr = is_absolutely_irreducible(mats, d, p)
+                assert irr == (dim == d * d), (mats, p)
+                seen.add((m, irr))
+    assert seen == {(1, False), (2, False), (2, True), (3, False), (3, True)}
 
 
 def test_endomorphism_classifier():
@@ -218,9 +254,9 @@ def _subspace_local_split(basis, d, p):
     return len(nonunits) == p ** rank and k - rank == 1
 
 
-def _random_tuple(rng, d, p):
-    """One or two random matrices of one shape: any, upper triangular,
-    unipotent upper triangular, or diagonal."""
+def _random_tuple(rng, d, p, m=None):
+    """m random matrices of one shape, or one or two if m is not given:
+    any, upper triangular, unipotent upper triangular, or diagonal."""
     shape = rng.choice(["any", "upper", "unipotent", "diagonal"])
 
     def entry(i, j):
@@ -230,7 +266,7 @@ def _random_tuple(rng, d, p):
             return 1
         return rng.randrange(p)
     return tuple(tuple(entry(i, j) for i in range(d) for j in range(d))
-                 for _ in range(rng.randint(1, 2)))
+                 for _ in range(m or rng.randint(1, 2)))
 
 
 def test_local_split_count_matches_subspace_criterion():
