@@ -14,7 +14,7 @@ from .combinatorics import (
     CensusRow, IdentityError, SizeGuardError, census_series_checks,
     connected_tuples, connected_weight_poly, connected_weight_series,
     hall_subgroup_counts, inversions, limit_transform, perm_rep_census,
-    q_factorial, q_int, subgroup_counts,
+    q_factorial, subgroup_counts,
 )
 from .counting import (
     CharVarTable, IntegralityError, TableRow,
@@ -51,7 +51,7 @@ __all__ = [
     "is_absolutely_irreducible", "is_prime", "limit_at_1",
     "limit_transform", "mobius", "orbit_census", "orbit_counts",
     "orbit_series", "partitions", "perm_rep_census", "poly_str",
-    "pow_product", "q", "q_factorial", "q_int", "ratio",
+    "pow_product", "q", "q_factorial", "ratio",
     "rep_counts", "rep_series", "run_verification", "s_positive",
     "subgroup_counts", "totient", "uv_str",
 ]

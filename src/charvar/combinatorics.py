@@ -73,11 +73,6 @@ def inversions(perm: Perm) -> int:
                if perm[i] > perm[j])
 
 
-def q_int(n: int) -> QPoly:
-    """[n]_q = 1 + q + ... + q^(n-1)."""
-    return QPoly([1] * n)
-
-
 @lru_cache(maxsize=None)
 def q_factorial(n: int) -> QPoly:
     """[n]_q! = prod_{i=1..n} [i]_q, in a loop: the coefficient of q^j in
@@ -169,7 +164,7 @@ def subgroup_counts(m: int, nmax: int) -> List[int]:
     for n in range(1, nmax + 1):
         c = lg.coeff(n)
         val = Fraction(c.constant) * n
-        if not c.is_scalar or val.denominator != 1:
+        if c.degree > 0 or val.denominator != 1:
             raise ArithmeticError(f"subgroup count J_{n} came out non-integral")
         out.append(int(val))
     return out

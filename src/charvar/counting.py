@@ -39,8 +39,7 @@ from typing import NamedTuple, Optional, Tuple
 
 from .plethystic import Exp, Log
 from .qpoly import (
-    QPoly, ONE, ZERO, _div_by_s_power, _dot, _poly_str, expand_in_s, poly_str,
-    q,
+    QPoly, ONE, ZERO, _div_by_s_power, _dot, _poly_str, expand_in_s, q,
 )
 from .tseries import TSeries
 
@@ -354,5 +353,5 @@ __all__ = [
     "abs_ind_series", "orbit_series", "class_weight_series",
     "centralizer_weight", "rep_counts", "abs_irr_counts", "abs_ind_counts",
     "orbit_counts", "e_polynomial", "uv_str", "euler_characteristics",
-    "s_positive", "build_table", "poly_str",
+    "s_positive", "build_table",
 ]

@@ -66,17 +66,6 @@ def _coefficient(c) -> Scalar:
     raise TypeError(f"cannot use {c!r} as a QPoly coefficient")
 
 
-def _power(base, n: int, one):
-    """base ** n by square-and-multiply, for n >= 0 and any ring element."""
-    result = one
-    while n:
-        if n & 1:
-            result = result * base
-        base = base * base if n > 1 else base
-        n >>= 1
-    return result
-
-
 def _all_int(cs) -> bool:
     # exact type: bool and other int subclasses take the normalising path
     return set(map(type, cs)) <= {int}
@@ -198,10 +187,6 @@ class QPoly:
         """True when every coefficient is an integer."""
         return _all_int(self.coeffs)
 
-    @property
-    def is_scalar(self) -> bool:
-        return len(self.coeffs) <= 1
-
     def __eq__(self, other) -> bool:
         if isinstance(other, QPoly):
             return self.coeffs == other.coeffs
@@ -264,55 +249,28 @@ class QPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "QPoly":
+        """self ** n by square-and-multiply, n >= 0."""
         if n < 0:
             raise ValueError("negative power of a QPoly")
-        return _power(self, n, ONE)
-
-    def __divmod__(self, other: "QPoly"):
-        if isinstance(other, (int, Fraction)):
-            other = QPoly((other,))
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dn, dd = len(rem) - 1, other.degree
-        if dn < dd:
-            return ZERO, self
-        quot = [0] * (dn - dd + 1)
-        lead = other.coeffs[-1]
-        for i in range(dn, dd - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            f = _coefficient(Fraction(c, lead)) if lead != 1 else c
-            quot[i - dd] = f
-            for j, oc in enumerate(other.coeffs):
-                rem[i - dd + j] -= f * oc
-        return QPoly(quot), QPoly(rem)
-
-    def divexact(self, other: "QPoly") -> "QPoly":
-        """Exact quotient; raises ExactDivisionError on nonzero remainder."""
-        quot, rem = divmod(self, other)
-        if not rem.is_zero:
-            raise ExactDivisionError(f"({self}) is not divisible by ({other})")
-        return quot
+        result, base = ONE, self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base if n > 1 else base
+            n >>= 1
+        return result
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division by zero scalar")
-            if type(other) is int and all(type(c) is int and not c % other
-                                          for c in self.coeffs):
-                return _trusted([c // other for c in self.coeffs])
-            inv = Fraction(1, 1) / other
-            return QPoly(tuple(c * inv for c in self.coeffs))
-        if isinstance(other, QPoly):
-            return ratio(self, other)
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return ratio(QPoly((other,)), self)
-        return NotImplemented
+        # division by a scalar; the quotient of two polynomials is ratio
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        if other == 0:
+            raise ZeroDivisionError("division by zero scalar")
+        if type(other) is int and all(type(c) is int and not c % other
+                                      for c in self.coeffs):
+            return _trusted([c // other for c in self.coeffs])
+        inv = Fraction(1, 1) / other
+        return QPoly(tuple(c * inv for c in self.coeffs))
 
     # -- evaluation and substitution ----------------------------------------
 
@@ -508,13 +466,32 @@ def _div_by_s_power(p: QPoly, k: int) -> QPoly:
     return QPoly(top_down[::-1])
 
 
-def ratio(num: QPoly, den: QPoly) -> QPoly:
+def ratio(num: QPoly, den) -> QPoly:
     """The exact quotient num/den; raises ExactDivisionError on a remainder.
+
+    The one polynomial long division of the package; den is a QPoly, an
+    int or a Fraction.
 
     >>> ratio(q ** 2 - 1, q - 1) == q + 1
     True
     """
-    return num.divexact(den)
+    if isinstance(den, (int, Fraction)):
+        den = QPoly((den,))
+    if den.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem, dd, lead = list(num.coeffs), den.degree, den.coeffs[-1]
+    quot = [0] * max(len(rem) - dd, 0)
+    for i in range(len(rem) - 1, dd - 1, -1):
+        c = rem[i]
+        if c == 0:
+            continue
+        f = _coefficient(Fraction(c, lead)) if lead != 1 else c
+        quot[i - dd] = f
+        for j, dc in enumerate(den.coeffs):
+            rem[i - dd + j] -= f * dc
+    if any(rem):
+        raise ExactDivisionError(f"({num}) is not divisible by ({den})")
+    return QPoly(quot)
 
 
 def limit_at_1(num: QPoly, den: QPoly = ONE) -> Scalar:

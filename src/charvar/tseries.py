@@ -11,10 +11,10 @@ coefficients is the one rule here too.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .arith import binom2
-from .qpoly import QPoly, ZERO, ONE, _dot, _power
+from .qpoly import QPoly, ZERO, ONE, _dot
 
 
 class TSeries:
@@ -72,9 +72,6 @@ class TSeries:
             return self
         return TSeries(order, self.coeffs[: order + 1])
 
-    def map_coeffs(self, fn: Callable[[QPoly], QPoly]) -> "TSeries":
-        return TSeries(self.order, tuple(fn(c) for c in self.coeffs))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TSeries):
             return NotImplemented
@@ -84,9 +81,6 @@ class TSeries:
         return hash(self.coeffs)
 
     # -- ring structure ------------------------------------------------------
-
-    def __neg__(self) -> "TSeries":
-        return self.map_coeffs(lambda c: -c)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction, QPoly)):
@@ -99,19 +93,9 @@ class TSeries:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, QPoly)):
-            other = TSeries.from_terms(self.order, {0: other})
-        if not isinstance(other, TSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, QPoly)):
-            return self.map_coeffs(lambda x: x * other)
+            return TSeries(self.order, [c * other for c in self.coeffs])
         if not isinstance(other, TSeries):
             return NotImplemented
         n = min(self.order, other.order)
@@ -120,11 +104,6 @@ class TSeries:
                            for k in range(n + 1)])
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "TSeries":
-        if n < 0:
-            return self.inverse() ** (-n)
-        return _power(self, n, TSeries.one(self.order))
 
     def inverse(self) -> "TSeries":
         """Multiplicative inverse; requires constant term 1.

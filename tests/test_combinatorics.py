@@ -18,7 +18,7 @@ from charvar.combinatorics import (
     _invariant_prefixes, _is_transitive, census_series_checks, connected_tuples,
     connected_weight_poly, connected_weight_series, hall_subgroup_counts,
     inversions, is_connected, limit_transform, perm_rep_census,
-    q_factorial, q_int, subgroup_counts, weight_poly,
+    q_factorial, subgroup_counts, weight_poly,
 )
 from charvar.qpoly import ONE, q
 from charvar.verify import run_verification
@@ -64,7 +64,6 @@ def test_length_generating_polynomial_is_q_factorial():
     for n in range(7):
         assert length_gen_poly(n) == q_factorial(n)
     assert q_factorial(3) == (1 + q) * (1 + q + q ** 2)
-    assert q_int(4) == 1 + q + q ** 2 + q ** 3
 
 
 def test_q_factorial_of_a_negative_integer_raises():

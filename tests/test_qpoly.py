@@ -26,7 +26,7 @@ def test_ring_ops_basic():
     p = q ** 3 - q ** 2 - 1
     assert p.evaluate(1) == -1
     assert p(2) == 3
-    assert (q ** 2 - 1).divexact(q - 1) == q + 1
+    assert ratio(q ** 2 - 1, q - 1) == q + 1
 
 
 def test_pow_is_repeated_multiplication():
@@ -39,21 +39,24 @@ def test_pow_is_repeated_multiplication():
         p ** -1
 
 
-def test_divexact_rejects_inexact():
-    with pytest.raises(ExactDivisionError):
-        (q ** 2 + 1).divexact(q - 1)
-
-
-def test_divmod_random():
+def test_ratio_random():
+    # non-monic divisors, int and Fraction coefficients: a multiple of b
+    # divides back exactly, and a multiple plus a lower-degree remainder
+    # raises
     rng = random.Random(11)
-    for _ in range(60):
-        a = rand_poly(rng, rng.randint(0, 8))
-        b = rand_poly(rng, rng.randint(0, 5))
-        if b.is_zero:
-            continue
-        quot, rem = divmod(a, b)
-        assert quot * b + rem == a
-        assert rem.degree < b.degree or rem.is_zero
+    for trial in range(60):
+        frac = trial % 2 == 1
+        a = rand_poly(rng, rng.randint(0, 8), frac=frac)
+        lead = rng.choice([2, -3, 5, Fraction(3, 2), Fraction(-2, 7)])
+        k = rng.randint(1, 5)
+        b = rand_poly(rng, k - 1, frac=frac) + lead * q ** k
+        assert ratio(a * b, b) == a
+        for _ in range(5):
+            r = rand_poly(rng, rng.randint(0, b.degree - 1), frac=frac)
+            if r.is_zero:
+                continue
+            with pytest.raises(ExactDivisionError):
+                ratio(a * b + r, b)
 
 
 def test_zero_and_scalar_conventions():
@@ -131,8 +134,11 @@ def test_adams_composes():
 def test_ratio_demotes_to_polynomial():
     assert ratio(q ** 2 - 1, q - 1) == q + 1
     assert isinstance(ratio(q ** 2 - 1, q - 1), QPoly)
-    v = q ** 3 * (q - 1) ** 2 / (q - 1) ** 2
-    assert v == q ** 3
+    assert ratio(q ** 3 * (q - 1) ** 2, (q - 1) ** 2) == q ** 3
+    # a scalar denominator, int or Fraction, is a constant polynomial
+    assert ratio(2 * q + 4, 2) == q + 2
+    assert ratio(q, 3) == QPoly([0, Fraction(1, 3)])
+    assert ratio(q, Fraction(1, 2)) == 2 * q
     assert ratio(ZERO, q - 1) == ZERO
     with pytest.raises(TypeError):
         ratio(q)                                # the denominator is required
@@ -225,17 +231,21 @@ def test_limit_at_1_stops_at_the_lowest_nonzero_s_term(monkeypatch):
 
 
 def test_division_is_exact_or_raises():
-    assert (q ** 2 - 1) / (q + 1) == q - 1
-    assert 2 / QPoly([4]) == QPoly([Fraction(1, 2)])
-    for num, den in ((ONE, q - 1), (q ** 2 + 1, q - 1)):
+    for num, den in ((ONE, q - 1), (q ** 2 + 1, q - 1), (q, q ** 2)):
         with pytest.raises(ExactDivisionError):
             ratio(num, den)
-        with pytest.raises(ExactDivisionError):
-            num / den
-    with pytest.raises(ExactDivisionError):
-        1 / (q - 1)
+    for zero in (ZERO, 0):
+        with pytest.raises(ZeroDivisionError):
+            ratio(q, zero)
     with pytest.raises(ZeroDivisionError):
-        q / ZERO
+        q / 0
+    # / divides by a scalar only; ratio is the quotient of two polynomials
+    with pytest.raises(TypeError):
+        (q ** 2 - 1) / (q + 1)
+    with pytest.raises(TypeError):
+        2 / QPoly([4])
+    with pytest.raises(TypeError):
+        divmod(q ** 2, q)
 
 
 def test_dot_matches_the_pairwise_sum():
@@ -462,7 +472,7 @@ def test_division_by_powers_of_q_minus_1():
         power = (q - 1) ** k
         multiple = base * power
         got = qpoly._div_by_s_power(multiple, k)
-        assert got.coeffs == multiple.divexact(power).coeffs == base.coeffs
+        assert got.coeffs == ratio(multiple, power).coeffs == base.coeffs
     assert qpoly._div_by_s_power(ZERO, 3) == ZERO
     for p, k in ((q ** 2 + 1, 1), (q ** 2 + 1, 3), ((q - 1) * (q + 2), 2),
                  (ONE, 1)):

@@ -37,3 +37,38 @@ def test_every_private_function_is_used_in_the_package():
                           if other is not node)]
     assert len(private) > 10
     assert orphans == []
+
+
+def _defined_names(tree):
+    """The names a module's own top-level statements define."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names.update(sub.id for target in targets
+                         for sub in ast.walk(target)
+                         if isinstance(sub, ast.Name))
+    return names
+
+
+def _exported_names(tree):
+    return next((ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "__all__"
+                         for t in node.targets)), [])
+
+
+def test_every_exported_name_is_defined_in_its_module():
+    # only the package's __init__ re-exports; a module's __all__ lists
+    # what the module itself defines, so each name has one home
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in SOURCES if path.name != "__init__.py"}
+    exports = {name: _exported_names(tree) for name, tree in trees.items()}
+    foreign = [f"{name}:{export}" for name, tree in trees.items()
+               for export in exports[name]
+               if export not in _defined_names(tree)]
+    assert sum(1 for names in exports.values() if names) >= 3
+    assert foreign == []

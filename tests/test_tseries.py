@@ -154,19 +154,6 @@ def test_from_terms_drops_terms_past_the_order_and_refuses_negative_ones():
             TSeries.from_terms(3, {0: 1, d: 5})
 
 
-def test_pow():
-    f = TSeries(4, [1, 1])
-    assert f ** 2 == f * f
-    assert f ** 0 == TSeries.one(4)
-    assert f ** -1 == f.inverse()
-    g = TSeries(5, [1, q - 1, Fraction(1, 2)])
-    power = TSeries.one(5)
-    for n in range(10):
-        assert g ** n == power
-        assert g ** -n == power.inverse()
-        power = power * g
-
-
 def test_order_is_one_less_than_the_stored_coefficients():
     f = TSeries(3, [1, q])
     assert f.order == 3 and len(f.coeffs) == 4
