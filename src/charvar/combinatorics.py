@@ -16,7 +16,7 @@ Three strands, all exact:
     counts and two exponential identities.
 
 Both brute-force censuses, this one and fforacle.orbit_census, build their
-table with _group_table and walk it with _orbit_walk.
+table with _group_table and count its orbits with _orbit_levels.
 """
 
 from __future__ import annotations
@@ -216,20 +216,6 @@ def limit_transform(m: int, nmax: int) -> List[Fraction]:
 # -- the census of symmetric-group representations ------------------------------
 
 
-def _is_transitive(tup: PermTuple, n: int) -> bool:
-    # orbit of 0 under the generated subgroup; forward closure suffices
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for perm in tup:
-            y = perm[x]
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return len(seen) == n
-
-
 class CensusRow(NamedTuple):
     n: int
     m: int
@@ -296,47 +282,53 @@ def _group_table(one, gens: list, mul, order: int):
     return group, conj
 
 
-def _orbit_walk(conj: list, m: int, start, extend):
-    """Yield (state, |stabiliser|) once per conjugation orbit on m-tuples.
+def _orbit_levels(conj: list, m: int, start, extend) -> Counter:
+    """Orbit counts of the conjugation orbits on m-tuples, per the
+    (state, stabiliser) of their tuples, one tuple entry a level.
 
     conj[g][x] indexes g x g^-1 in one list of the group's elements.  The
-    walk follows a stabiliser chain: the first entry runs over the class
-    representatives, each next one over the orbit representatives of the
-    stabiliser (the centraliser) of the entries before it, so each orbit
-    is reached once and no visited-tuple set is kept.  extend(state, index)
-    folds a tuple's state from ``start`` one entry at a time, so tuples
-    sharing a prefix share its state, and one explicit stack frame per
-    prefix keeps deep tuples from recursing.  A tuple's stabiliser has
-    order len(rows) / (orbit size of its last entry); the orbit total is
-    checked against Burnside's sum over classes of |centraliser|**(m-1).
+    first entry runs over the class representatives, each next one over
+    the orbit representatives of the stabiliser of the entries before it.
+    extend(state, index) folds a tuple's state from ``start``.  What lies
+    below a prefix depends only on its state and its stabiliser, a tuple
+    of group indices, so a level keeps one count per pair of them.  The
+    total is checked against Burnside's sum over classes of
+    |centraliser|**(m-1).
     """
     classes = _orbits(conj)
-    # frame: stabiliser rows of the prefix, its state, orbits not yet visited
-    stack = [(conj, start, iter(classes))]
-    orbits = 0
-    while stack:
-        rows, state, pending = stack[-1]
-        i, size = next(pending, (None, 0))
-        if i is None:
-            stack.pop()
-            continue
-        state_i = extend(state, i)
-        if len(stack) < m:
-            stabiliser = [row for row in rows if row[i] == i]
-            stack.append((stabiliser, state_i, iter(_orbits(stabiliser))))
-            continue
-        orbits += 1
-        yield state_i, len(rows) // size
+    level = Counter({(start, tuple(range(len(conj)))): 1})
+    for depth in range(m):
+        below = Counter()
+        for (state, stabiliser), count in level.items():
+            reps = _orbits([conj[g] for g in stabiliser]) if depth else classes
+            for i, _ in reps:
+                fixing = tuple(g for g in stabiliser if conj[g][i] == i)
+                below[extend(state, i), fixing] += count
+        level = below
+    orbits = sum(level.values())
     burnside = sum((len(conj) // size) ** (m - 1) for _, size in classes)
     if orbits != burnside:
         raise IdentityError(f"swept {orbits} orbits, Burnside: {burnside}")
+    return level
+
+
+def _join(blocks: Perm, perm: Perm) -> Perm:
+    """Orbit labels once perm joins the group: blocks[x] labels x by the
+    least point of its orbit, and merging the blocks of each x and
+    perm[x] under the lesser label keeps every label least."""
+    label = list(blocks)
+    for x, y in enumerate(perm):
+        a, b = sorted((label[x], label[y]))
+        label = [a if c == b else c for c in label]
+    return tuple(label)
 
 
 @lru_cache(maxsize=None)
 def perm_rep_census(n: int, m: int) -> CensusRow:
     """Brute-force census of S_n^m up to simultaneous conjugation, by
-    _orbit_walk over S_n generated by a transposition and an n-cycle;
-    |Aut| of an orbit is its tuple's stabiliser order."""
+    _orbit_levels over S_n generated by a transposition and an n-cycle.
+    A tuple's state is its orbit labels, so it is transitive when every
+    label is 0, and |Aut| of its orbit is its stabiliser's order."""
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
     # the conjugation table alone costs (n!)**2
@@ -347,21 +339,19 @@ def perm_rep_census(n: int, m: int) -> CensusRow:
     perms, conj = _group_table(tuple(range(n)), gens if n > 1 else [],
                                lambda a, b: tuple(map(a.__getitem__, b)),
                                factorial(n))
-
-    def extend(tup, i):
-        # a transitive prefix stays transitive, so it is carried no further
-        if tup is None:
-            return None
-        tup += (perms[i],)
-        return None if _is_transitive(tup, n) else tup
+    kinds = Counter()
+    for (blocks, stabiliser), count in _orbit_levels(
+            conj, m, tuple(range(n)),
+            lambda blocks, i: _join(blocks, perms[i])).items():
+        kinds[not any(blocks), len(stabiliser)] += count
     orbit_count = transitive_count = 0
     aut_weight = aut_weight_all = Fraction(0)
-    for tup, aut in _orbit_walk(conj, m, (), extend):
-        orbit_count += 1
-        aut_weight_all += Fraction(1, aut)
-        if tup is None:
-            transitive_count += 1
-            aut_weight += Fraction(1, aut)
+    for (transitive, aut), count in kinds.items():
+        orbit_count += count
+        aut_weight_all += Fraction(count, aut)
+        if transitive:
+            transitive_count += count
+            aut_weight += Fraction(count, aut)
     if aut_weight_all != Fraction(total, len(perms)):
         raise IdentityError("identity violated")
     return CensusRow(n=n, m=m, total=total, orbit_count=orbit_count,

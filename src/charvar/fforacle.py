@@ -7,12 +7,13 @@ absolutely irreducible or absolutely indecomposable.  Matching the two
 routes at several primes is strong evidence that the symbolic counts are
 polynomials in q evaluated correctly.
 
-The census is the stabiliser-chain walk combinatorics._orbit_walk over the
-conjugation table that combinatorics._group_table builds from generators of
-GL_d(F_p), so it sweeps no p**(d*d) matrices.  A prefix is classified
-by the unital algebra it generates alone, so the walk carries that
-algebra's number, keyed by the reduced echelon form of its span, and
-extends and classifies each algebra once rather than once per orbit.
+The census is the level-by-level stabiliser-chain count
+combinatorics._orbit_levels over the conjugation table that
+combinatorics._group_table builds from generators of GL_d(F_p), so it
+sweeps no p**(d*d) matrices.  A prefix is classified by the unital
+algebra it generates alone, so its state is that algebra's number, keyed
+by the reduced echelon form of its span, and each algebra is extended
+and classified once rather than once per orbit.
 
 Matrices are flat tuples of length d*d with entries reduced mod p, row
 major.  Their one row reduction is the reduced echelon basis of
@@ -33,7 +34,7 @@ from typing import NamedTuple
 
 from .arith import factorize, is_prime
 from .combinatorics import (IdentityError, SizeGuardError, _exceeds,
-                            _group_table, _orbit_walk)
+                            _group_table, _orbit_levels)
 
 __all__ = [
     "OracleCensus", "endomorphism_basis", "gl_enumerate", "gl_order",
@@ -282,7 +283,7 @@ def orbit_census(d: int, p: int, m: int) -> OracleCensus:
     All a prefix's classification needs is the unital algebra A it
     generates: the tuple is absolutely irreducible when A is all of M_d,
     and absolutely indecomposable when the commutant End of A is local
-    with residue field F_p.  So the walk of _orbit_walk carries the
+    with residue field F_p.  So the state _orbit_levels counts by is the
     number of A, assigned on first sight to its reduced echelon span,
     which is one key per algebra; each extension of A by a group element
     and each classification of A is computed once, not once per orbit.
@@ -313,7 +314,9 @@ def orbit_census(d: int, p: int, m: int) -> OracleCensus:
             if b == len(algebras):
                 algebras.append((span, gens + (group[i],)))
         return b
-    leaves = Counter(a for a, _ in _orbit_walk(conj, m, 0, extend))
+    leaves = Counter()
+    for (a, _), count in _orbit_levels(conj, m, 0, extend).items():
+        leaves[a] += count
     orbits = abs_irr = abs_ind = 0
     for a, count in leaves.items():
         span, gens = algebras[a]

@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -15,7 +16,7 @@ import charvar
 from charvar import combinatorics
 from charvar.combinatorics import (
     CensusRow, IdentityError, SizeGuardError, _group_table,
-    _invariant_prefixes, _is_transitive, census_series_checks, connected_tuples,
+    _invariant_prefixes, _join, census_series_checks, connected_tuples,
     connected_weight_poly, connected_weight_series, hall_subgroup_counts,
     inversions, is_connected, limit_transform, perm_rep_census,
     q_factorial, subgroup_counts, weight_poly,
@@ -217,6 +218,40 @@ def test_group_table_needs_a_generating_set():
         _group_table((0, 1, 2), [(1, 0, 2)], _compose, 6)
 
 
+def _orbit_of(tup, x):
+    """Orbit of x under the group the tuple generates, by a visited set;
+    forward closure suffices in a finite group."""
+    seen = {x}
+    frontier = [x]
+    while frontier:
+        y = frontier.pop()
+        for perm in tup:
+            z = perm[y]
+            if z not in seen:
+                seen.add(z)
+                frontier.append(z)
+    return seen
+
+
+def _is_transitive(tup, n):
+    return len(_orbit_of(tup, 0)) == n
+
+
+def test_join_labels_each_point_by_the_least_of_its_orbit():
+    rng = random.Random(20261019)
+    kinds = set()
+    for _ in range(300):
+        n, m = rng.randint(1, 6), rng.randint(1, 4)
+        tup = tuple(tuple(rng.sample(range(n), n)) for _ in range(m))
+        blocks = tuple(range(n))
+        for perm in tup:
+            blocks = _join(blocks, perm)
+        assert blocks == tuple(min(_orbit_of(tup, x)) for x in range(n)), tup
+        assert (not any(blocks)) == _is_transitive(tup, n), tup
+        kinds.add((n > 1, _is_transitive(tup, n)))
+    assert kinds == {(False, True), (True, False), (True, True)}
+
+
 def _visited_set_census(n, m):
     """Reference census: sweep all of S_n^m with one visited set and
     conjugate each new tuple by every permutation; |Aut| is n!/|orbit|."""
@@ -259,8 +294,8 @@ def test_census_rows_beyond_the_reference_sweep():
 
 
 def test_census_state_is_linear_in_the_tuple_length():
-    # a transitive prefix is no longer carried; with it, the frames of
-    # this chain held 18 million permutation references
+    # each level keeps only the (orbit labels, stabiliser) counts of its
+    # prefixes, so 6000 levels hold one key at a time
     tracemalloc.start()
     try:
         row = perm_rep_census.__wrapped__(1, 6000)
@@ -299,6 +334,14 @@ def test_census_exponential_identities():
     checks = census_series_checks(4, 2)
     assert checks == {"weighted_exp": True, "plethystic_exp": True,
                       "weights_are_subgroup_counts": True}
+
+
+def test_deep_census_weight_is_the_subgroup_count():
+    # 282251 orbits, far past the visited-set sweep
+    row = perm_rep_census(3, 8)
+    assert row.orbit_count == 282251
+    assert row.aut_weight == Fraction(subgroup_counts(8, 3)[2], 3)
+    assert row.aut_weight_all == factorial(3) ** 7
 
 
 def test_census_exponential_identities_need_a_degree():

@@ -204,14 +204,14 @@ def test_scalar_group_census():
 
 
 def test_census_does_not_recurse_on_deep_tuples():
-    # the stabiliser chain is 3000 frames deep, beyond the recursion limit
+    # the stabiliser chain is 3000 levels deep, beyond the recursion limit
     census = orbit_census(1, 2, 3000)
     assert (census.orbits, census.abs_irr, census.abs_ind) == (1, 1, 1)
 
 
 def test_census_state_is_linear_in_the_tuple_length():
-    # once the span is all of M_d the prefix is no longer carried; with it,
-    # the frames of this chain held 18 million matrix references
+    # each level keeps only the (algebra, stabiliser) counts of its
+    # prefixes, so 6000 levels hold one key at a time
     tracemalloc.start()
     try:
         census = orbit_census(1, 2, 6000)
@@ -413,15 +413,41 @@ def test_census_extends_and_classifies_each_algebra_once(monkeypatch):
 
 def test_census_matches_polynomial_counts_past_the_guard(monkeypatch):
     # the first d >= 2 boxes at p = 5, at d = 3 with m = 3 and at p = 3
-    # with m = 4; the guard itself still refuses them
-    monkeypatch.setattr(fforacle, "_CENSUS_LIMIT", 48 ** 4)
+    # with m = 4 are pinned; the deeper ones reach |G|**m = 168**4 and
+    # 10.6 million orbits.  The guard itself still refuses them all
+    monkeypatch.setattr(fforacle, "_CENSUS_LIMIT", 168 ** 4)
     pins = {(2, 5, 2): (2336, 1584, 1920), (3, 2, 3): (28411, 27152, 28248),
             (2, 3, 4): (223216, 217280, 221040)}
-    for (d, p, m), want in pins.items():
+    for box in [*pins, (2, 3, 5), (3, 2, 4), (2, 5, 3), (2, 2, 8)]:
+        d, p, m = box
         census = orbit_census(d, p, m)
-        assert (census.orbits, census.abs_irr, census.abs_ind) == want
-        assert want == tuple(counts(m, dmax=d)[d].evaluate(p) for counts in
-                             (orbit_counts, abs_irr_counts, abs_ind_counts))
+        got = (census.orbits, census.abs_irr, census.abs_ind)
+        assert got == pins.get(box, got)
+        assert got == tuple(counts(m, dmax=d)[d].evaluate(p) for counts in
+                            (orbit_counts, abs_irr_counts, abs_ind_counts)), box
+
+
+def test_census_finds_orbits_once_per_stabiliser_level(monkeypatch):
+    # 282251 orbits in 8 levels; a census visiting each orbit makes 57208
+    # calls in each group (GL_2(F_2) is S_3)
+    real = combinatorics._orbits
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(combinatorics, "_orbits", counted)
+    monkeypatch.setattr(fforacle, "_CENSUS_LIMIT", 6 ** 8)
+    assert orbit_census(2, 2, 8).orbits == 282251
+    assert 0 < len(calls) <= 40, len(calls)
+    calls.clear()
+    combinatorics.perm_rep_census.cache_clear()
+    try:
+        assert combinatorics.perm_rep_census(3, 8).orbit_count == 282251
+    finally:
+        combinatorics.perm_rep_census.cache_clear()
+    assert 0 < len(calls) <= 40, len(calls)
 
 
 def _nullspace_reference(rows, ncols, p):

@@ -72,3 +72,26 @@ def test_every_exported_name_is_defined_in_its_module():
                if export not in _defined_names(tree)]
     assert sum(1 for names in exports.values() if names) >= 3
     assert foreign == []
+
+
+def test_every_imported_name_is_read_in_its_module():
+    # an import nothing reads is left over from code that has moved;
+    # only the package's __init__ imports names to re-export them
+    bound, unread = 0, []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    bound += 1
+                    if name not in read:
+                        unread.append(f"{path.name}:{node.lineno}:{name}")
+    assert bound > 30
+    assert unread == []
