@@ -331,8 +331,9 @@ def perm_rep_census(n: int, m: int) -> CensusRow:
     label is 0, and |Aut| of its orbit is its stabiliser's order."""
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
-    # the conjugation table alone costs (n!)**2
-    if _exceeds(range(1, n + 1), max(m, 2), 4_000_000):
+    # m levels, each of which may read the whole (n!)**2 conjugation table
+    if _exceeds(itertools.chain((m,), range(1, n + 1), range(1, n + 1)), 1,
+                4_000_000):
         raise SizeGuardError(f"census of S_{n}^{m} is too large")
     total = factorial(n) ** m
     gens = [(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)]

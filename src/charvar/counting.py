@@ -313,9 +313,6 @@ class CharVarTable(NamedTuple):
     dmax: int
     rows: tuple
 
-    def to_json_dict(self) -> dict:
-        return {"m": self.m, "rows": [row.to_json_dict() for row in self.rows]}
-
 
 def build_table(m: int, dmax: int = None) -> CharVarTable:
     """Full table for d = 1..dmax; coefficient lists are the JSON contract."""

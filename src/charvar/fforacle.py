@@ -42,9 +42,9 @@ __all__ = [
     "mat_inv", "mat_mul", "orbit_census",
 ]
 
-# gl_order and gl_enumerate admit p**(d*d); the census |GL_d(F_p)|**max(m, 2)
+# gl_order and gl_enumerate admit p**(d*d); the census m * |GL_d(F_p)|**2
 _ENUM_LIMIT = 100_000
-_CENSUS_LIMIT = 200_000
+_CENSUS_LIMIT = 400_000
 
 
 def identity(d: int) -> tuple:
@@ -291,9 +291,10 @@ def orbit_census(d: int, p: int, m: int) -> OracleCensus:
     if m < 1:
         raise ValueError("need m >= 1")
     n = gl_order(d, p)
-    # the conjugation index table alone costs n**2
-    if _exceeds((n,), max(m, 2), _CENSUS_LIMIT):
-        raise SizeGuardError(f"sweeping {n}**{max(m, 2)} tuples is too much")
+    # m levels, each of which may read the whole n**2 conjugation table
+    if m * n * n > _CENSUS_LIMIT:
+        levels = f"{m} level" + "s" * (m > 1)
+        raise SizeGuardError(f"{levels} over a {n}**2 table is too much")
     group, conj = _group_table(identity(d), _generators(d, p),
                                lambda a, b: mat_mul(a, b, d, p), n)
     # per number: the echelon span of A and the first prefix to generate

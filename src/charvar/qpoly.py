@@ -145,7 +145,7 @@ class QPoly:
     >>> p = QPoly([-1, 0, 1])          # q^2 - 1
     >>> p * p == QPoly([1, 0, -2, 0, 1])
     True
-    >>> p(3)
+    >>> p.evaluate(3)
     8
     >>> str(QPoly([1, -2, 1]))
     'q^2 - 2*q + 1'
@@ -283,8 +283,6 @@ class QPoly:
             acc = acc * x + c
         return _coefficient(acc)
 
-    __call__ = evaluate
-
     def adams(self, n: int) -> "QPoly":
         """Substitute q -> q^n, n >= 1."""
         if n < 1:
@@ -398,9 +396,9 @@ def _pairwise_dot(pairs) -> QPoly:
     return QPoly(out)
 
 
-def poly_str(p: QPoly, var: str = "q") -> str:
+def poly_str(p: QPoly) -> str:
     """Human-readable form, highest degree first: 'q^3 - 2*q + 1'."""
-    return _poly_str(p, lambda k: var if k == 1 else f"{var}^{k}")
+    return _poly_str(p, lambda k: "q" if k == 1 else f"q^{k}")
 
 
 def _poly_str(p: QPoly, monomial: Callable[[int], str]) -> str:

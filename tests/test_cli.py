@@ -492,7 +492,7 @@ VERIFY_DIGESTS = {
      "json"):
         "82fc16f1a3da3563ef9a752b069cb4d6c6926daac3e9d6196549d7659f480395",
     ("verify", "--m", "3", "--format", "json"):
-        "1bf10f4b43ed9c4545187b61e6fb63ff7bd2f78fc9c7d48690b7658eb32851af",
+        "77fbe2746090fc8be648e349455b837728277d93e51c1ef8167b836b157b3c96",
 }
 
 
@@ -545,13 +545,15 @@ def test_large_p_is_sized_before_its_primality_is_decided():
 
 
 @pytest.mark.parametrize("argv, err", [
-    ("oracle --d 2 --p 3 --m 10000000", "sweeping 48**10000000 tuples"),
-    ("oracle --d 2 --p 3 --m 100000000", "sweeping 48**100000000 tuples"),
+    ("oracle --d 2 --p 3 --m 10000000",
+     "10000000 levels over a 48**2 table"),
+    ("oracle --d 2 --p 3 --m 100000000",
+     "100000000 levels over a 48**2 table"),
     ("permstats --m 10000000 --n 3", "S_3^9999999"),
     ("permstats --m 100000000 --n 3", "S_3^99999999"),
     ("permstats --m 2 --n 1000000", "S_1000000^1"),
     # a group of order 1 is bounded by the tuple length alone
-    ("oracle --d 1 --p 2 --m 200001", "sweeping 1**200001 tuples"),
+    ("oracle --d 1 --p 2 --m 400001", "400001 levels over a 1**2 table"),
     ("permstats --n 1 --m 400002", "S_1^400001"),
 ])
 def test_size_guards_never_build_the_bounded_number(argv, err):
@@ -569,16 +571,13 @@ def test_size_guard_exit_code(capsys):
 
 
 def test_oracle_refusal_states_the_guarded_count(capsys):
-    # with one matrix the guard is on the |G|**2 conjugation table
-    code, out, err = run(capsys, "oracle", "--d", "2", "--p", "5", "--m", "1")
+    # the guard is on m levels over the |G|**2 conjugation table
+    code, out, err = run(capsys, "oracle", "--d", "2", "--p", "5", "--m", "2")
     assert code == 4 and out == ""
-    assert err == "error: sweeping 480**2 tuples is too much\n"
-    code, _, err = run(capsys, "oracle", "--d", "2", "--p", "5", "--m", "2")
-    assert code == 4
-    assert err == "error: sweeping 480**2 tuples is too much\n"
-    code, _, err = run(capsys, "oracle", "--d", "2", "--p", "3", "--m", "4")
-    assert code == 4
-    assert err == "error: sweeping 48**4 tuples is too much\n"
+    assert err == "error: 2 levels over a 480**2 table is too much\n"
+    code, out, err = run(capsys, "oracle", "--d", "2", "--p", "7", "--m", "1")
+    assert code == 4 and out == ""
+    assert err == "error: 1 level over a 2016**2 table is too much\n"
 
 
 def test_output_file_and_determinism(tmp_path, capsys):
@@ -634,8 +633,8 @@ def test_streamed_polys_json_is_the_one_shot_json(capsys, m, dmax):
     code, out, err = run(capsys, "polys", "--m", str(m), "--dmax", str(dmax),
                          "--format", "json")
     assert (code, err) == (0, "")
-    assert out == json.dumps(build_table(m, dmax).to_json_dict(),
-                             indent=2) + "\n"
+    rows = [row.to_json_dict() for row in build_table(m, dmax).rows]
+    assert out == json.dumps({"m": m, "rows": rows}, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("empty", [True, False], ids=["empty", "listing"])

@@ -331,9 +331,11 @@ def test_census_checks_its_orbit_count_by_burnside(monkeypatch):
 
 
 def test_census_exponential_identities():
-    checks = census_series_checks(4, 2)
-    assert checks == {"weighted_exp": True, "plethystic_exp": True,
-                      "weights_are_subgroup_counts": True}
+    # (3, 9) and (4, 8) are 9 levels over a 6**2 table and 8 over a 24**2
+    for nmax, m in [(4, 2), (3, 9), (4, 8)]:
+        checks = census_series_checks(nmax, m)
+        assert checks == {"weighted_exp": True, "plethystic_exp": True,
+                          "weights_are_subgroup_counts": True}, (nmax, m)
 
 
 def test_deep_census_weight_is_the_subgroup_count():
@@ -353,13 +355,13 @@ def test_census_exponential_identities_need_a_degree():
 
 def test_size_guards():
     with pytest.raises(SizeGuardError):
-        perm_rep_census(6, 3)
+        perm_rep_census(6, 8)
     # one generator still pays for the (n!)**2 conjugation table
     with pytest.raises(SizeGuardError, match=r"^census of S_7\^1 is too"):
         perm_rep_census(7, 1)
     with pytest.raises(SizeGuardError):
         connected_tuples(8, 3)
-    # the tuple length is bounded by the same limit, even for S_1
+    # m levels over a table of one entry, for S_1
     with pytest.raises(SizeGuardError, match=r"^census of S_1\^4000001 "):
         perm_rep_census(1, 4_000_001)
     assert connected_tuples(1, 400_001) == [((0,),) * 400_000]
@@ -377,6 +379,47 @@ def test_census_refuses_before_building_the_group(monkeypatch):
     monkeypatch.setattr(combinatorics, "_group_table", no_table)
     with pytest.raises(SizeGuardError, match=r"^census of S_7\^1 is too"):
         perm_rep_census(7, 1)
+
+
+class _Admitted(Exception):
+    """Raised in place of building the group table, past the guard."""
+
+
+def _admits(monkeypatch, n, m):
+    """Whether the census guard lets (n, m) through, at no cost."""
+    def admitted(*args):
+        raise _Admitted
+
+    monkeypatch.setattr(combinatorics, "_group_table", admitted)
+    try:
+        perm_rep_census.__wrapped__(n, m)
+    except _Admitted:
+        return True
+    except SizeGuardError:
+        return False
+    raise AssertionError("the census ran without a group table")
+
+
+def test_census_guard_bounds_the_levels_times_the_table(monkeypatch):
+    # m levels, each of which may read the whole (n!)**2 table:
+    # 7 * 720**2 = 3628800
+    admitted = [(6, 7), (1, 4_000_000), (2, 1_000_000), (5, 277)]
+    refused = [(6, 8), (1, 4_000_001), (2, 1_000_001), (5, 278), (7, 1),
+               (1_000_000, 1), (1, 10 ** 100)]
+    assert [_admits(monkeypatch, *box) for box in admitted + refused] == [
+        True] * len(admitted) + [False] * len(refused)
+
+
+def test_census_guard_admits_every_box_the_tuple_sweep_guard_did(
+        monkeypatch):
+    # the guard of the census that swept tuples: (n!)**max(m, 2) <= 4000000,
+    # and m <= 4000000 for S_1
+    def swept(n, m):
+        return factorial(n) ** max(m, 2) <= 4_000_000 and m <= 4_000_000
+    boxes = [(1, 4_000_000)] + [(n, m) for n in range(1, 8)
+                                for m in range(1, 21) if swept(n, m)]
+    assert {n for n, _ in boxes} == {1, 2, 3, 4, 5, 6} and len(boxes) > 40
+    assert [box for box in boxes if not _admits(monkeypatch, *box)] == []
 
 
 def test_exceeds_compares_the_power_without_building_it():

@@ -78,11 +78,11 @@ def test_rank2_closed_forms_general_m():
 
 
 def test_rank2_evaluations():
-    assert abs_irr_counts(2, 2)[2](2) == 3
-    assert rep_counts(2, 2)[2](2) == 8
-    assert abs_ind_counts(2, 2)[2](2) == 6
-    assert orbit_counts(2, 2)[2](2) == 11
-    assert orbit_counts(2, 2)[2](3) == 136
+    assert abs_irr_counts(2, 2)[2].evaluate(2) == 3
+    assert rep_counts(2, 2)[2].evaluate(2) == 8
+    assert abs_ind_counts(2, 2)[2].evaluate(2) == 6
+    assert orbit_counts(2, 2)[2].evaluate(2) == 11
+    assert orbit_counts(2, 2)[2].evaluate(3) == 136
 
 
 def test_rank2_semisimple_decomposition():
@@ -309,7 +309,7 @@ def test_build_table():
     assert row2.rep_count == q ** 3 * (q - 1) ** 2
     assert row2.chi_pgl == 1 and row2.chi_pgl_irr == -1
     assert row2.positive
-    doc = table.to_json_dict()
+    doc = {"m": table.m, "rows": [row.to_json_dict() for row in table.rows]}
     assert doc["m"] == 2
     assert doc["rows"][1]["A"] == ["0", "0", "0", "1", "-2", "1"]
     assert doc["rows"][1]["s_coeffs_A"] == ["0", "0", "1", "3", "3", "1"]
@@ -320,7 +320,7 @@ def test_build_table():
 def test_build_table_m1_skips_pgl_data():
     table = build_table(1, 2)
     assert table.rows[0].chi_pgl is None
-    assert table.to_json_dict()["rows"][0]["chi_pgl"] is None
+    assert table.rows[0].to_json_dict()["chi_pgl"] is None
 
 
 def test_default_dmax():

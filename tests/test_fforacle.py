@@ -12,6 +12,7 @@ import pytest
 
 import charvar
 from charvar import combinatorics, fforacle
+from charvar.arith import is_prime
 from charvar.cli import main
 from charvar.combinatorics import (IdentityError, SizeGuardError,
                                    _group_table, _orbits)
@@ -287,10 +288,12 @@ def test_local_split_count_matches_subspace_criterion():
 
 def test_local_split_matches_subspace_criterion_on_every_admitted_box(
         monkeypatch):
-    # every d >= 2 box the default guard admits, and the next one refused
-    admitted = [(2, 2, m) for m in range(1, 7)] + [
-        (2, 3, m) for m in range(1, 4)] + [(3, 2, 1), (3, 2, 2)]
-    for box in [(2, 2, 7), (2, 3, 4), (3, 2, 3), (2, 5, 1)]:
+    # the census classifies the algebras its m-tuples generate; one is
+    # generated by at most d*d - 1 of its tuple's entries, and an identity
+    # entry adds nothing, so at m = d*d - 1 a (d, p) box classifies every
+    # algebra of every admitted (d, p, m) box of d >= 2; (2, 5) admits m = 1
+    admitted = [(2, 2, 3), (2, 3, 3), (3, 2, 8), (2, 5, 1)]
+    for box in [(2, 2, 11112), (2, 3, 174), (3, 2, 15), (2, 5, 2), (2, 7, 1)]:
         with pytest.raises(SizeGuardError):
             orbit_census(*box)
     seen = []
@@ -411,20 +414,31 @@ def test_census_extends_and_classifies_each_algebra_once(monkeypatch):
         assert calls["_local_split"] <= most[1], (box, calls)
 
 
-def test_census_matches_polynomial_counts_past_the_guard(monkeypatch):
-    # the first d >= 2 boxes at p = 5, at d = 3 with m = 3 and at p = 3
-    # with m = 4 are pinned; the deeper ones reach |G|**m = 168**4 and
-    # 10.6 million orbits.  The guard itself still refuses them all
-    monkeypatch.setattr(fforacle, "_CENSUS_LIMIT", 168 ** 4)
-    pins = {(2, 5, 2): (2336, 1584, 1920), (3, 2, 3): (28411, 27152, 28248),
-            (2, 3, 4): (223216, 217280, 221040)}
-    for box in [*pins, (2, 3, 5), (3, 2, 4), (2, 5, 3), (2, 2, 8)]:
+def _census_matches_polynomial_counts(boxes, pins):
+    for box in boxes:
         d, p, m = box
         census = orbit_census(d, p, m)
         got = (census.orbits, census.abs_irr, census.abs_ind)
         assert got == pins.get(box, got)
         assert got == tuple(counts(m, dmax=d)[d].evaluate(p) for counts in
                             (orbit_counts, abs_irr_counts, abs_ind_counts)), box
+
+
+def test_census_matches_polynomial_counts_on_admitted_boxes():
+    # past the three default boxes, up to d = 3 with m = 5, p = 3 with
+    # m = 8 and d = 2 over F_2 with m = 40 (31 digits of orbits)
+    pins = {(2, 5, 1): (24, 0, 4), (3, 2, 3): (28411, 27152, 28248),
+            (2, 3, 4): (223216, 217280, 221040)}
+    _census_matches_polynomial_counts(
+        [*pins, (3, 2, 5), (2, 3, 5), (2, 3, 8), (2, 2, 8), (2, 2, 40)], pins)
+
+
+def test_census_matches_polynomial_counts_past_the_guard(monkeypatch):
+    # 2 and 3 levels over the 480**2 table of GL_2(F_5), which the guard
+    # refuses; the deeper one has 930496 orbits
+    monkeypatch.setattr(fforacle, "_CENSUS_LIMIT", 3 * 480 ** 2)
+    pins = {(2, 5, 2): (2336, 1584, 1920)}
+    _census_matches_polynomial_counts([*pins, (2, 5, 3)], pins)
 
 
 def test_census_finds_orbits_once_per_stabiliser_level(monkeypatch):
@@ -438,7 +452,6 @@ def test_census_finds_orbits_once_per_stabiliser_level(monkeypatch):
         return real(rows)
 
     monkeypatch.setattr(combinatorics, "_orbits", counted)
-    monkeypatch.setattr(fforacle, "_CENSUS_LIMIT", 6 ** 8)
     assert orbit_census(2, 2, 8).orbits == 282251
     assert 0 < len(calls) <= 40, len(calls)
     calls.clear()
@@ -655,9 +668,58 @@ def test_census_refuses_before_enumerating(monkeypatch):
         raise AssertionError("group table built before the size guard")
 
     monkeypatch.setattr(fforacle, "_group_table", no_table)
-    for d, p, m in [(4, 2, 2), (3, 3, 2), (2, 3, 4)]:
-        with pytest.raises(SizeGuardError, match="tuples is too much"):
+    for d, p, m in [(4, 2, 2), (3, 3, 2), (3, 2, 15)]:
+        with pytest.raises(SizeGuardError, match="table is too much"):
             orbit_census(d, p, m)
+
+
+class _Admitted(Exception):
+    """Raised in place of building the group table, past the guard."""
+
+
+def _admits(monkeypatch, d, p, m):
+    """Whether the census guard lets (d, p, m) through, at no cost."""
+    def admitted(*args):
+        raise _Admitted
+
+    monkeypatch.setattr(fforacle, "_group_table", admitted)
+    try:
+        orbit_census(d, p, m)
+    except _Admitted:
+        return True
+    except SizeGuardError as exc:
+        assert str(exc).endswith("table is too much"), exc
+        return False
+    raise AssertionError("the census ran without a group table")
+
+
+def test_census_guard_bounds_the_levels_times_the_table(monkeypatch):
+    # m levels, each of which may read the whole |G|**2 conjugation table:
+    # 14 * 168**2 = 395136, 173 * 48**2 = 398592, 480**2 = 230400
+    admitted = [(3, 2, 14), (2, 3, 173), (2, 5, 1), (1, 2, 400_000)]
+    refused = [(3, 2, 15), (2, 3, 174), (2, 5, 2), (2, 7, 1), (1, 2, 400_001)]
+    assert [_admits(monkeypatch, *box) for box in admitted + refused] == [
+        True] * len(admitted) + [False] * len(refused)
+    with pytest.raises(SizeGuardError) as refusal:
+        orbit_census(3, 2, 15)
+    assert str(refusal.value) == "15 levels over a 168**2 table is too much"
+
+
+def test_census_guard_admits_every_box_the_tuple_sweep_guard_did(
+        monkeypatch):
+    # the guard of the census that swept tuples: |G|**max(m, 2) <= 200000,
+    # and m <= 200000 for the group of order 1
+    def swept(n, m):
+        return n ** max(m, 2) <= 200_000 and m <= 200_000
+    boxes = [(1, 2, 200_000)]
+    for d in range(1, 5):
+        for p in filter(is_prime, range(2, 100_001)):
+            if p ** (d * d) > 100_000:
+                break
+            n = gl_order(d, p)
+            boxes += [(d, p, m) for m in range(1, 21) if swept(n, m)]
+    assert {d for d, _, _ in boxes} == {1, 2, 3} and len(boxes) > 150
+    assert [box for box in boxes if not _admits(monkeypatch, *box)] == []
 
 
 def test_identity_failure_survives_optimize():

@@ -25,7 +25,7 @@ def test_ring_ops_basic():
     assert (q - 1) * (q + 1) == q ** 2 - 1
     p = q ** 3 - q ** 2 - 1
     assert p.evaluate(1) == -1
-    assert p(2) == 3
+    assert p.evaluate(2) == 3
     assert ratio(q ** 2 - 1, q - 1) == q + 1
 
 
@@ -69,8 +69,8 @@ def test_zero_and_scalar_conventions():
 
 def test_evaluate_stays_exact():
     p = QPoly([Fraction(1, 2), 1])
-    assert p(Fraction(1, 2)) == 1
-    assert isinstance((q ** 2)(3), int)
+    assert p.evaluate(Fraction(1, 2)) == 1
+    assert isinstance((q ** 2).evaluate(3), int)
 
 
 def test_evaluate_refuses_inexact_points():
@@ -79,9 +79,10 @@ def test_evaluate_refuses_inexact_points():
         with pytest.raises(TypeError, match="QPoly coefficient"):
             p.evaluate(bad)
         with pytest.raises(TypeError):
-            ZERO(bad)
+            ZERO.evaluate(bad)
     assert p.evaluate(True) == 3 and type(p.evaluate(True)) is int
-    assert p.evaluate(Fraction(1, 2)) == 2 and type(p(Fraction(1, 2))) is int
+    half = p.evaluate(Fraction(1, 2))
+    assert half == 2 and type(half) is int
     assert p.evaluate(Fraction(1, 3)) == Fraction(5, 3)
 
 
@@ -164,7 +165,7 @@ def test_limit_at_1_reads_the_lowest_s_terms():
     for _ in range(60):
         u, v = (rand_poly(rng, rng.randint(0, 5), frac=rng.random() < 0.3)
                 for _ in range(2))
-        if u(1) == 0 or v(1) == 0:
+        if u.evaluate(1) == 0 or v.evaluate(1) == 0:
             continue
         a, b = rng.randint(0, 4), rng.randint(0, 4)
         num, den = (q - 1) ** a * u, (q - 1) ** b * v
@@ -172,8 +173,8 @@ def test_limit_at_1_reads_the_lowest_s_terms():
             with pytest.raises(PoleError):
                 limit_at_1(num, den)
         else:
-            assert limit_at_1(num, den) == (Fraction(u(1)) / v(1)
-                                            if a == b else 0)
+            want = Fraction(u.evaluate(1)) / v.evaluate(1) if a == b else 0
+            assert limit_at_1(num, den) == want
 
 
 def limit_at_1_reference(num, den=ONE):
@@ -272,7 +273,7 @@ def test_limit_at_1_on_polynomials():
     rng = random.Random(3)
     for _ in range(30):
         p = rand_poly(rng, rng.randint(0, 8))
-        assert limit_at_1(p) == p(1)
+        assert limit_at_1(p) == p.evaluate(1)
 
 
 def test_poly_str():
@@ -531,9 +532,3 @@ def test_shift_multiplies_by_a_power_of_q():
     with pytest.raises(ValueError):
         p.shift(-1)
 
-
-def test_poly_str_variable_name():
-    p = q ** 2 - 2 * q + 1
-    assert poly_str(p, "x") == "x^2 - 2*x + 1"
-    assert poly_str(-q, var="t") == "-t"
-    assert poly_str(ZERO, "x") == "0"

@@ -95,3 +95,29 @@ def test_every_imported_name_is_read_in_its_module():
                         unread.append(f"{path.name}:{node.lineno}:{name}")
     assert bound > 30
     assert unread == []
+
+
+def test_a_class_binds_a_method_twice_only_as_a_reflected_operator():
+    # `__radd__ = __add__` serves Python's operator protocol; any other
+    # second name for a method is an alias, and each operation has one
+    aliases, reflected = [], 0
+    for path in SOURCES:
+        for cls in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            methods = {node.name for node in cls.body
+                       if isinstance(node, ast.FunctionDef)}
+            for node in cls.body:
+                if not (isinstance(node, ast.Assign)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id in methods):
+                    continue
+                for target in node.targets:
+                    name = getattr(target, "id", None)
+                    # __radd__ = __add__, but not __repr__ = __str__
+                    if name == "__r" + node.value.id[2:]:
+                        reflected += 1
+                    else:
+                        aliases.append(f"{path.name}:{cls.name}.{name}")
+    assert reflected >= 4
+    assert aliases == []

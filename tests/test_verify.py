@@ -28,11 +28,12 @@ def test_suite_passes_for_two_generators():
 
 
 def test_suite_passes_for_three_generators():
-    checks = run_verification(3, dmax=2, primes=(2, 101))
+    checks = run_verification(3, dmax=2, primes=(2, 367))
     assert all_passed(checks)
-    # |GL_1(F_101)|^3 = 10^6 tuples: the size guard refuses d = 1 already,
-    # so that oracle compared nothing and must say so
-    (item,) = [c for c in checks if c.name == "finite field oracle p=101"]
+    # 3 levels over the 366**2 table of GL_1(F_367) make 401868: the size
+    # guard refuses d = 1 already, so that oracle compared nothing and
+    # must say so
+    (item,) = [c for c in checks if c.name == "finite field oracle p=367"]
     assert item.detail.startswith("skipped: size guard")
     assert item.skipped and not item.passed
     assert [c.name for c in checks if c.skipped] == [item.name]
