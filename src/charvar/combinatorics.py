@@ -284,26 +284,33 @@ def _group_table(one, gens: list, mul, order: int):
 
 def _orbit_levels(conj: list, m: int, start, extend) -> Counter:
     """Orbit counts of the conjugation orbits on m-tuples, per the
-    (state, stabiliser) of their tuples, one tuple entry a level.
+    (state, stabiliser) key of their tuples, one tuple entry a level.
 
     conj[g][x] indexes g x g^-1 in one list of the group's elements.  The
     first entry runs over the class representatives, each next one over
     the orbit representatives of the stabiliser of the entries before it.
     extend(state, index) folds a tuple's state from ``start``.  What lies
-    below a prefix depends only on its state and its stabiliser, a tuple
-    of group indices, so a level keeps one count per pair of them.  The
-    total is checked against Burnside's sum over classes of
-    |centraliser|**(m-1).
+    below a prefix depends only on its key, so each key's row, the keys of
+    its stabiliser's orbit representatives, is split once per call and
+    summed into every level where the key recurs.  The total is checked
+    against Burnside's sum over classes of |centraliser|**(m-1), whose
+    sizes come from a split of their own, not from the rows.
     """
     classes = _orbits(conj)
+    rows = {}
     level = Counter({(start, tuple(range(len(conj)))): 1})
-    for depth in range(m):
+    for _ in range(m):
         below = Counter()
-        for (state, stabiliser), count in level.items():
-            reps = _orbits([conj[g] for g in stabiliser]) if depth else classes
-            for i, _ in reps:
-                fixing = tuple(g for g in stabiliser if conj[g][i] == i)
-                below[extend(state, i), fixing] += count
+        for key, count in level.items():
+            row = rows.get(key)
+            if row is None:
+                state, stabiliser = key
+                row = rows[key] = Counter(
+                    (extend(state, i),
+                     tuple(g for g in stabiliser if conj[g][i] == i))
+                    for i, _ in _orbits([conj[g] for g in stabiliser]))
+            for child, times in row.items():
+                below[child] += times * count
         level = below
     orbits = sum(level.values())
     burnside = sum((len(conj) // size) ** (m - 1) for _, size in classes)
@@ -331,7 +338,7 @@ def perm_rep_census(n: int, m: int) -> CensusRow:
     label is 0, and |Aut| of its orbit is its stabiliser's order."""
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
-    # m levels, each of which may read the whole (n!)**2 conjugation table
+    # m levels over the (n!)**2 table, though each key is split once
     if _exceeds(itertools.chain((m,), range(1, n + 1), range(1, n + 1)), 1,
                 4_000_000):
         raise SizeGuardError(f"census of S_{n}^{m} is too large")

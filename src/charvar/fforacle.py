@@ -11,9 +11,10 @@ The census is the level-by-level stabiliser-chain count
 combinatorics._orbit_levels over the conjugation table that
 combinatorics._group_table builds from generators of GL_d(F_p), so it
 sweeps no p**(d*d) matrices.  A prefix is classified by the unital
-algebra it generates alone, so its state is that algebra's number, keyed
-by the reduced echelon form of its span, and each algebra is extended
-and classified once rather than once per orbit.
+algebra A it generates alone, so its state is the echelon span of A,
+and its stabiliser is the centraliser of A: each A is one key, split
+once, so each extension of A by a group element and each
+classification of A is made at most once, not once per orbit.
 
 Matrices are flat tuples of length d*d with entries reduced mod p, row
 major.  Their one row reduction is the reduced echelon basis of
@@ -284,43 +285,35 @@ def orbit_census(d: int, p: int, m: int) -> OracleCensus:
     generates: the tuple is absolutely irreducible when A is all of M_d,
     and absolutely indecomposable when the commutant End of A is local
     with residue field F_p.  So the state _orbit_levels counts by is the
-    number of A, assigned on first sight to its reduced echelon span,
-    which is one key per algebra; each extension of A by a group element
-    and each classification of A is computed once, not once per orbit.
+    reduced echelon span of A, and the prefix's stabiliser, the
+    centraliser of A, adds nothing to it: each extension of A by a group
+    element and each classification of A is computed once, not per orbit.
     """
     if m < 1:
         raise ValueError("need m >= 1")
     n = gl_order(d, p)
-    # m levels, each of which may read the whole n**2 conjugation table
+    # m levels over the n**2 table, though each key is split once
     if m * n * n > _CENSUS_LIMIT:
         levels = f"{m} level" + "s" * (m > 1)
         raise SizeGuardError(f"{levels} over a {n}**2 table is too much")
     group, conj = _group_table(identity(d), _generators(d, p),
                                lambda a, b: mat_mul(a, b, d, p), n)
-    # per number: the echelon span of A and the first prefix to generate
-    # it, which has at most d*d - 1 entries since each one enlarged A
-    start = [(0, identity(d))]
-    algebras = [(start, ())]
-    numbers = {tuple(start): 0}
-    extended = {}
+    # per echelon span of A, the first prefix to generate it, which has at
+    # most d*d - 1 entries since each one enlarged A
+    start = ((0, identity(d)),)
+    prefixes = {start: ()}
 
-    def extend(a, i):
-        key = a * n + i
-        b = extended.get(key)
-        if b is None:
-            span, gens = algebras[a]
-            span = _extend_span(span, gens, group[i], d, p)
-            b = extended[key] = numbers.setdefault(tuple(span),
-                                                   len(algebras))
-            if b == len(algebras):
-                algebras.append((span, gens + (group[i],)))
-        return b
+    def extend(span, i):
+        gens = prefixes[span]
+        grown = tuple(_extend_span(span, gens, group[i], d, p))
+        prefixes.setdefault(grown, gens + (group[i],))
+        return grown
     leaves = Counter()
-    for (a, _), count in _orbit_levels(conj, m, 0, extend).items():
-        leaves[a] += count
+    for (span, _), count in _orbit_levels(conj, m, start, extend).items():
+        leaves[span] += count
     orbits = abs_irr = abs_ind = 0
-    for a, count in leaves.items():
-        span, gens = algebras[a]
+    for span, count in leaves.items():
+        gens = prefixes[span]
         irr = len(span) == d * d
         ind = is_absolutely_indecomposable(gens, d, p)
         # irreducible forces indecomposable; anything else is a bug

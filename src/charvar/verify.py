@@ -168,7 +168,7 @@ def _check_subgroup_limits(m, dmax):
 
 def _check_census(m, dmax):
     bound = 1
-    # the census reads m levels over an ((bound + 1)!)**2 table
+    # the census guard's budget: m levels over an ((bound + 1)!)**2 table
     while bound < 4 and m * factorial(bound + 1) ** 2 <= 20_000:
         bound += 1
     results = census_series_checks(bound, m)

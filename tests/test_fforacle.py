@@ -224,7 +224,8 @@ def test_census_state_is_linear_in_the_tuple_length():
 
 
 def test_census_checks_its_orbit_count_by_burnside(monkeypatch, capsys):
-    # every stabiliser level below the class list loses its last orbit
+    # every split after the class list loses its last orbit, the top
+    # key's too, so 5 of the 11 orbits of GL_2(F_2) (S_3) are swept
     real = combinatorics._orbits
     calls = []
 
@@ -236,7 +237,7 @@ def test_census_checks_its_orbit_count_by_burnside(monkeypatch, capsys):
     assert main(["oracle", "--d", "2", "--p", "2", "--m", "2"]) == 3
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err == ("error: internal identity failure: swept 8 orbits, "
+    assert out.err == ("error: internal identity failure: swept 5 orbits, "
                        "Burnside: 11\n")
 
 
@@ -426,11 +427,13 @@ def _census_matches_polynomial_counts(boxes, pins):
 
 def test_census_matches_polynomial_counts_on_admitted_boxes():
     # past the three default boxes, up to d = 3 with m = 5, p = 3 with
-    # m = 8 and d = 2 over F_2 with m = 40 (31 digits of orbits)
+    # m = 8 and d = 2 over F_2 with m = 40 (31 digits of orbits), and the
+    # last boxes the guard admits at d = 3 over F_2 and d = 2 over F_3
     pins = {(2, 5, 1): (24, 0, 4), (3, 2, 3): (28411, 27152, 28248),
             (2, 3, 4): (223216, 217280, 221040)}
     _census_matches_polynomial_counts(
-        [*pins, (3, 2, 5), (2, 3, 5), (2, 3, 8), (2, 2, 8), (2, 2, 40)], pins)
+        [*pins, (3, 2, 5), (2, 3, 5), (2, 3, 8), (2, 2, 8), (2, 2, 40),
+         (3, 2, 14), (2, 3, 173)], pins)
 
 
 def test_census_matches_polynomial_counts_past_the_guard(monkeypatch):
@@ -443,7 +446,8 @@ def test_census_matches_polynomial_counts_past_the_guard(monkeypatch):
 
 def test_census_finds_orbits_once_per_stabiliser_level(monkeypatch):
     # 282251 orbits in 8 levels; a census visiting each orbit makes 57208
-    # calls in each group (GL_2(F_2) is S_3)
+    # calls in each group (GL_2(F_2) is S_3), and one splitting every key
+    # again on each level makes 28 at m = 8 and 796 at m = 200
     real = combinatorics._orbits
     calls = []
 
@@ -452,15 +456,15 @@ def test_census_finds_orbits_once_per_stabiliser_level(monkeypatch):
         return real(rows)
 
     monkeypatch.setattr(combinatorics, "_orbits", counted)
-    assert orbit_census(2, 2, 8).orbits == 282251
-    assert 0 < len(calls) <= 40, len(calls)
-    calls.clear()
-    combinatorics.perm_rep_census.cache_clear()
-    try:
-        assert combinatorics.perm_rep_census(3, 8).orbit_count == 282251
-    finally:
-        combinatorics.perm_rep_census.cache_clear()
-    assert 0 < len(calls) <= 40, len(calls)
+    census = combinatorics.perm_rep_census.__wrapped__
+    for orbits in (lambda m: orbit_census(2, 2, m).orbits,
+                   lambda m: census(3, m).orbit_count):
+        calls.clear()
+        assert orbits(8) == 282251
+        made = len(calls)
+        calls.clear()
+        orbits(200)
+        assert 0 < made == len(calls) <= 40, (made, len(calls))
 
 
 def _nullspace_reference(rows, ncols, p):
