@@ -107,17 +107,24 @@ def _write_json(out, head: dict, key: str, items) -> None:
     """Write json.dumps({**head, key: list(items)}, indent=2) + "\n".
 
     The items are built, encoded and written one at a time, so neither the
-    document nor the list is ever held whole.
+    document nor the list is ever held whole.  json.dumps renders indented
+    JSON with the pure-Python generator of json.encoder; it is made once
+    here, with _ENCODER's settings, and yields each item at the list's
+    depth, two levels in.  No value written here is a float, so floats
+    keep plain repr.
     """
     text = _ENCODER.encode({**head, key: []})
     out.write(text[:-3])            # text ends with ']\n}'
-    separator, close = "\n", "]\n}\n"
+    item_chunks = json.encoder._make_iterencode(
+        {}, _ENCODER.default, json.encoder.encode_basestring_ascii,
+        _ENCODER.indent, float.__repr__, _ENCODER.key_separator,
+        _ENCODER.item_separator, _ENCODER.sort_keys, _ENCODER.skipkeys, False)
+    separator, close = "\n    ", "]\n}\n"
     for item in items:
-        chunks = chain((separator,), _ENCODER.iterencode(item))
-        # two levels in: every line of the item moves right by four spaces
+        chunks = chain((separator,), item_chunks(item, 2))
         while batch := "".join(islice(chunks, _CHUNKS_PER_WRITE)):
-            out.write(batch.replace("\n", "\n    "))
-        separator, close = ",\n", "\n  ]\n}\n"
+            out.write(batch)
+        separator, close = ",\n    ", "\n  ]\n}\n"
         del item                    # freed before the next item is built
     out.write(close)
 

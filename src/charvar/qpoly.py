@@ -26,11 +26,12 @@ integer polynomials, so the int case is the fast path:
   Fraction still comes out as an int;
 - the series kernels spend their time in sums of products, which _dot
   forms as one packed Kronecker sum when every factor has int
-  coefficients: one slot width for the whole sum, each factor packed once
-  for it into a big integer and the packing kept on the QPoly (only the
-  last width's), the packed products added as integers and the sum
-  unpacked once.  A sum with any Fraction coefficient multiplies pair by
-  pair instead; that is the one fallback.  A product of two int
+  coefficients: one slot width for the whole sum; each factor's
+  coefficients packed into a big integer once, at the factor's own
+  width, and that packing kept on the QPoly and copied byte by byte into
+  the slots of any wider sum; the packed products added as integers and
+  the sum unpacked once.  A sum with any Fraction coefficient multiplies
+  pair by pair instead; that is the one fallback.  A product of two int
   polynomials whose shorter factor has at least _KRONECKER_MIN_TERMS
   terms is the one-pair _dot; shorter int factors and every factor with a
   Fraction coefficient use the schoolbook product.
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from operator import add, methodcaller
+from operator import add
 from typing import Callable, Iterable, Union
 
 Scalar = Union[int, Fraction]
@@ -114,24 +115,16 @@ def _slot_width(bound: int) -> int:
     return bound.bit_length() // 8 + 1          # 8 * width >= bits + 1
 
 
-def _offsets(width: int, n: int) -> int:
-    # half in each of n slots
-    return int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * n,
+def _offsets(own: int, width: int, n: int) -> int:
+    # the half of own-byte slots in each of n width-byte slots
+    return int.from_bytes((1 << (8 * own - 1)).to_bytes(width, "little") * n,
                           "little")
-
-
-def _kron_pack(cs, width: int) -> int:
-    """sum c_i 2^(8 width i) over a sequence of ints inside +-half."""
-    half = 1 << (8 * width - 1)
-    shifted = b"".join(map(methodcaller("to_bytes", width, "little"),
-                           map(half.__add__, cs)))
-    return int.from_bytes(shifted, "little") - _offsets(width, len(cs))
 
 
 def _kron_unpack(packed: int, width: int, n: int) -> list:
     """The n coefficients inside +-half of a packed polynomial."""
     half = 1 << (8 * width - 1)
-    raw = (packed + _offsets(width, n)).to_bytes(width * n, "little")
+    raw = (packed + _offsets(width, width, n)).to_bytes(width * n, "little")
     return [int.from_bytes(raw[i:i + width], "little") - half
             for i in range(0, width * n, width)]
 
@@ -330,20 +323,48 @@ def _max_abs(p: QPoly):
         return bound
 
 
+def _own_packing(p: QPoly) -> tuple:
+    """(v, own, P) with p = q^v r, r(0) != 0, own = _slot_width(max|c|) and
+    P = r packed in own-byte slots; the one packing from the coefficients."""
+    cs = p.coeffs
+    v = 0
+    while not cs[v]:
+        v += 1
+    own = _slot_width(_max_abs(p))
+    half = 1 << (8 * own - 1)
+    raw = b"".join([(c + half).to_bytes(own, "little") for c in cs[v:]])
+    return v, own, int.from_bytes(raw, "little") - _offsets(own, own,
+                                                             len(cs) - v)
+
+
 def _packed(p: QPoly, width: int):
     """(v, P) with p = q^v r, r(0) != 0 and P = r packed in width-byte slots.
 
-    Only the packing for the last width asked for is kept.
+    p's coefficients are packed once, at its own width; every other width
+    is copied slot by slot from the kept packing, which is that of the
+    last width asked for.
     """
     memo = getattr(p, "_packing", None)
-    if memo is None or memo[0] != width:
-        cs = p.coeffs
-        v = 0
-        while not cs[v]:
-            v += 1
-        memo = (width, v, _kron_pack(cs[v:], width))
-        object.__setattr__(p, "_packing", memo)
-    return memo[1], memo[2]
+    if memo is None:
+        v, own, packed = _own_packing(p)
+        have = own
+    else:
+        v, own, have, packed = memo
+        if have == width:
+            return v, packed
+    if have != width:
+        # width >= own always: a sum's bound max|a| max|b| min(len a, len b)
+        # is at least max|a| for a nonzero b, so each slot value c + half of
+        # own-byte slots fills the low own bytes of a slot of either width
+        # and leaves the rest of the slot zero
+        n = len(p.coeffs) - v
+        raw = (packed + _offsets(own, have, n)).to_bytes(have * n, "little")
+        slots = bytearray(width * n)
+        for j in range(own):
+            slots[j::width] = raw[j::have]
+        packed = int.from_bytes(slots, "little") - _offsets(own, width, n)
+    object.__setattr__(p, "_packing", (v, own, width, packed))
+    return v, packed
 
 
 def _dot(pairs) -> QPoly:
@@ -355,11 +376,11 @@ def _dot(pairs) -> QPoly:
     coefficients it is one packed Kronecker sum: the sum over the pairs
     of max|a| max|b| min(len a, len b) bounds every coefficient of the
     result, so one slot width serves all pairs; each factor is packed
-    once for that width (memoised on the QPoly, its leading zeros kept as
-    a shift applied after the multiply), the packed products are added as
-    integers, and the sum is unpacked once per coefficient.  If any factor
-    has a Fraction coefficient, the pairs are multiplied one by one and
-    added into a coefficient list, normalised once at the end.
+    for that width by _packed (its leading zeros kept as a shift applied
+    after the multiply), the packed products are added as integers, and
+    the sum is unpacked once per coefficient.  If any factor has a
+    Fraction coefficient, the pairs are multiplied one by one and added
+    into a coefficient list, normalised once at the end.
 
     >>> _dot([(q, q), (ZERO, q), (ONE, q - 1)]) == q ** 2 + q - 1
     True

@@ -221,6 +221,14 @@ def _check_integrality(m, dmax):
     return "all coefficients are integers (certified during construction)"
 
 
+def _check_s_positivity(m, dmax):
+    top = min(dmax, 6)
+    counts = rep_counts(m, top)
+    for d in range(1, top + 1):
+        _require(s_positive(counts[d]), f"A_{d} is not in N[q-1]")
+    return f"A_d lies in N[q-1] for d <= {top}"
+
+
 def run_verification(m: int, dmax: int = None, primes=(2, 3)) -> list:
     """Run every consistency item and return the CheckResult list."""
     if m < 1:
@@ -248,6 +256,7 @@ def run_verification(m: int, dmax: int = None, primes=(2, 3)) -> list:
         ("Euler characteristics", _check_euler),
         ("quotient E-polynomials", _check_quotient_epoly),
         ("integrality", _check_integrality),
+        ("s-positivity", _check_s_positivity),
     ]
     checks = []
     for name, fn in items:

@@ -198,9 +198,10 @@ n = 4
 [skip] quotient E-polynomials: skipped: needs m >= 2
 [ok ] integrality: all coefficients are integers (certified during \
 construction)
+[ok ] s-positivity: A_d lies in N[q-1] for d <= 2
 [ok ] finite field oracle p=2: brute force agrees at d in [1, 2]
 [ok ] finite field oracle p=3: brute force agrees at d in [1, 2]
-11/15 checks passed, 4 skipped
+12/16 checks passed, 4 skipped
 """
 
 
@@ -283,6 +284,11 @@ counts positive"
       "passed": true,
       "detail": "all coefficients are integers (certified during \
 construction)"
+    },
+    {
+      "name": "s-positivity",
+      "passed": true,
+      "detail": "A_d lies in N[q-1] for d <= 2"
     },
     {
       "name": "finite field oracle p=2",
@@ -471,9 +477,9 @@ OUTPUT_DIGESTS = {
     ("subgroups", "--m", "2", "--nmax", "8", "--format", "csv"):
         "682d286386ae903e9d7b0a2318b5232713349ccae6d053d64d980882093ea27f",
     ("verify", "--m", "1", "--dmax", "2", "--format", "csv"):
-        "d087e23f1bd222852192588ee9be6c97b88d917ffa755b8d293776de08d8ed3e",
+        "cc550d9ab025e721124e7f3cb3c55dff66bfec7c652eb7fa659f983f7b2afc20",
     ("verify", "--m", "2", "--primes", "", "--format", "csv"):
-        "8837ce0ca8228b22fa4791507d1223f533c218ef7558a05fc36533f1e2edb5f4",
+        "9451508ceb371d0fa70a57a22d9d9359a9831857935c532823bbf227bbc1f84e",
 }
 
 
@@ -490,9 +496,9 @@ def test_oracle_and_permstats_bytes_pinned(capsys, argv):
 VERIFY_DIGESTS = {
     ("verify", "--m", "2", "--dmax", "16", "--primes", "", "--format",
      "json"):
-        "82fc16f1a3da3563ef9a752b069cb4d6c6926daac3e9d6196549d7659f480395",
+        "0af0b43c5c4df88a7a9227d1934e6b8e43c55370028877e2e0b5a1e62e6aca74",
     ("verify", "--m", "3", "--format", "json"):
-        "77fbe2746090fc8be648e349455b837728277d93e51c1ef8167b836b157b3c96",
+        "d9d3a9c9d7dd8f6025f34f2328ba621fbfd10162e5a1c6962ce01d3c3e67bcad",
 }
 
 

@@ -1,12 +1,17 @@
 """Exact polynomial arithmetic, s-expansions and limits at q = 1."""
 
+import os
 import random
+import subprocess
+import sys
 from itertools import accumulate
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import charvar
 from charvar import qpoly
 from charvar.qpoly import (
     ExactDivisionError, PoleError, QPoly, ONE, ZERO, expand_in_s, limit_at_1,
@@ -427,6 +432,49 @@ def test_packed_dot_repacks_for_a_new_width():
     for partner in (small, huge, small, huge, huge):
         assert_dot([(shared, partner)])
         assert_dot([(partner, shared), (shared, small)])
+
+
+def test_packed_dot_copies_the_kept_packing_to_every_width():
+    # factors at the top of their own width k and at the foot of k + 1,
+    # in sums of their own width and of narrow, wide and wider slots, in
+    # turn; every packing after the first is copied from the kept one
+    rng = random.Random(27)
+    narrow = QPoly([1, -1])
+    for k in (1, 2, 3, 8, 9):
+        edge = 1 << (8 * k - 1)
+        wide = QPoly(rand_int_coeffs(rng, 30, 8 * k + 20))
+        wider = QPoly(rand_int_coeffs(rng, 25, 8 * k + 300))
+        for top, own in ((edge - 1, k), (edge, k + 1)):
+            cs = [rng.randint(-top, top) for _ in range(20)] + [-top, top]
+            factor = QPoly([0] * 3 + cs)
+            assert qpoly._slot_width(qpoly._max_abs(factor)) == own
+            for partner in (ONE, narrow, wide, wider, narrow, ONE, wider, ONE):
+                assert_dot([(factor, partner)])
+                assert_dot([(partner, factor), (factor, narrow)])
+
+
+def test_build_table_packs_each_polynomial_once():
+    # a fresh interpreter, so that no series is cached yet; the spy keeps
+    # every packed QPoly alive, so no two of them share an id
+    script = (
+        "from collections import Counter\n"
+        "from charvar import qpoly\n"
+        "from charvar.counting import build_table\n"
+        "packed, real = [], qpoly._own_packing\n"
+        "def spy(p):\n"
+        "    packed.append(p)\n"
+        "    return real(p)\n"
+        "qpoly._own_packing = spy\n"
+        "build_table(8, 12)\n"
+        "print(len(packed), max(Counter(map(id, packed)).values()))\n")
+    src = str(Path(charvar.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    packings, most = map(int, done.stdout.split())
+    assert packings > 200 and most == 1, (packings, most)
 
 
 def test_dot_with_a_fraction_operand():

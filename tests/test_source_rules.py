@@ -1,6 +1,7 @@
 """Rules on the source of the charvar package itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 import charvar
@@ -121,3 +122,24 @@ def test_a_class_binds_a_method_twice_only_as_a_reflected_operator():
                         aliases.append(f"{path.name}:{cls.name}.{name}")
     assert reflected >= 4
     assert aliases == []
+
+
+def test_src_imports_only_the_standard_library():
+    # the package is pure Python with no dependencies (pyproject.toml
+    # lists none): every absolute import names a standard-library module
+    absolute, relative, foreign = 0, 0, []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                relative += isinstance(node, ast.ImportFrom)
+                continue
+            absolute += len(modules)
+            foreign += [f"{path.name}:{node.lineno}:{module}"
+                        for module in modules
+                        if module.split(".")[0] not in sys.stdlib_module_names]
+    assert absolute > 20 and relative > 10
+    assert foreign == []

@@ -99,12 +99,18 @@ def test_check_result_shape():
     assert item.passed and item.name == "thing"
 
 
-def test_wrong_count_fails_under_optimize():
-    # A_2 one too large; python -O strips assert statements, not the checks
+def _optimized_runs(row):
+    """run_verification(2, 2, ()) and its CLI under python -O, with A_2
+    replaced by the expression row of its value c.
+
+    python -O strips assert statements, not the checks.  The library run
+    prints the names of the items that did not pass.
+    """
     patch = ("import sys; from charvar import verify; "
+             "from charvar.qpoly import q; "
              "real = verify.rep_counts; "
              "verify.rep_counts = lambda m, dmax: "
-             "[c + 1 if d == 2 else c for d, c in enumerate(real(m, dmax))]; ")
+             f"[{row} if d == 2 else c for d, c in enumerate(real(m, dmax))]; ")
     library = patch + (
         "checks = verify.run_verification(2, 2, ()); "
         "print([c.name for c in checks if not c.passed])")
@@ -113,15 +119,30 @@ def test_wrong_count_fails_under_optimize():
         "sys.exit(main(['verify', '--m', '2', '--dmax', '2', '--primes=']))")
     src = str(Path(charvar.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    runs = [subprocess.run([sys.executable, "-O", "-c", script],
+    return [subprocess.run([sys.executable, "-O", "-c", script],
                            env={**os.environ, "PYTHONPATH": path},
                            capture_output=True, text=True, timeout=60)
             for script in (library, command)]
+
+
+def test_wrong_count_fails_under_optimize():
+    # A_2 one too large
+    runs = _optimized_runs("c + 1")
     assert runs[0].returncode == 0, runs[0].stderr
     assert runs[0].stdout == (
         "['rank-2 closed forms', 'semisimple decomposition']\n")
     assert runs[1].returncode == 3, runs[1].stderr
     assert "[FAIL] rank-2 closed forms: identity violated" in runs[1].stdout
+
+
+def test_negative_s_coefficient_fails_under_optimize():
+    # A_2 is divisible by (q-1)^2; less (q-1), its s^1 coefficient is -1
+    runs = _optimized_runs("c - (q - 1)")
+    assert runs[0].returncode == 0, runs[0].stderr
+    assert runs[0].stdout == ("['rank-2 closed forms', "
+                              "'semisimple decomposition', 's-positivity']\n")
+    assert runs[1].returncode == 3, runs[1].stderr
+    assert "[FAIL] s-positivity: A_2 is not in N[q-1]\n" in runs[1].stdout
 
 
 @pytest.mark.parametrize("name", ["rep_series", "orbit_series"])
