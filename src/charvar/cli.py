@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_ENCODER = json.JSONEncoder(indent=2)
+_ENCODER = json.JSONEncoder(indent="  ")
 # Encoder chunks joined per write.  A row of the polys table is one chunk
 # per coefficient, so a write holds a few kilobytes of text, not the row;
 # joining a whole row at a time rendered no faster.

@@ -13,8 +13,8 @@ combinatorics._group_table builds from generators of GL_d(F_p), so it
 sweeps no p**(d*d) matrices.  A prefix is classified by the unital
 algebra A it generates alone, so its state is the echelon span of A,
 and its stabiliser is the centraliser of A: each A is one key, split
-once, so each extension of A by a group element and each
-classification of A is made at most once, not once per orbit.
+once, so each classification of A is made at most once, not once per
+orbit, and each extension of A at most once per coset of A.
 
 Matrices are flat tuples of length d*d with entries reduced mod p, row
 major.  Their one row reduction is the reduced echelon basis of
@@ -133,11 +133,7 @@ def _echelon_add(basis: list, vec, p: int):
     order clears every pivot of vec, the new row is cleared from the
     others, and a subspace has one basis whatever vectors built it.
     """
-    v = list(vec)
-    for piv, row in basis:
-        if v[piv]:
-            f = v[piv]
-            v = [(x - f * y) % p for x, y in zip(v, row)]
+    v = _reduced(basis, vec, p)
     piv = next((i for i, x in enumerate(v) if x), None)
     if piv is None:
         return None
@@ -149,6 +145,17 @@ def _echelon_add(basis: list, vec, p: int):
             basis[i] = (q, tuple([(x - f * y) % p for x, y in zip(row, new)]))
     bisect.insort(basis, (piv, new))
     return new
+
+
+def _reduced(basis: list, vec, p: int) -> list:
+    """vec less its part in the span of the reduced echelon basis: the
+    one vector of vec + span that is 0 at every pivot."""
+    v = list(vec)
+    for piv, row in basis:
+        if v[piv]:
+            f = v[piv]
+            v = [(x - f * y) % p for x, y in zip(v, row)]
+    return v
 
 
 def _nullspace(rows, ncols: int, p: int) -> list:
@@ -286,8 +293,10 @@ def orbit_census(d: int, p: int, m: int) -> OracleCensus:
     and absolutely indecomposable when the commutant End of A is local
     with residue field F_p.  So the state _orbit_levels counts by is the
     reduced echelon span of A, and the prefix's stabiliser, the
-    centraliser of A, adds nothing to it: each extension of A by a group
-    element and each classification of A is computed once, not per orbit.
+    centraliser of A, adds nothing to it: each classification of A is
+    computed once, not once per orbit.  An element y of A extends A to
+    itself, and y and y + a, for a in A, extend A alike, so A is extended
+    once per coset y + A, keyed by the reduced y.
     """
     if m < 1:
         raise ValueError("need m >= 1")
@@ -302,11 +311,24 @@ def orbit_census(d: int, p: int, m: int) -> OracleCensus:
     # most d*d - 1 entries since each one enlarged A
     start = ((0, identity(d)),)
     prefixes = {start: ()}
+    # the span of A and y per (A, y modulo A), since A and y generate what
+    # A and y + a do for every a in A; spans are interned, so the memo
+    # holds no equal copies
+    spans = {start: start}
+    grown_by = {}
 
     def extend(span, i):
-        gens = prefixes[span]
-        grown = tuple(_extend_span(span, gens, group[i], d, p))
-        prefixes.setdefault(grown, gens + (group[i],))
+        y = group[i]
+        rest = tuple(_reduced(span, y, p))
+        if not any(rest):
+            return span
+        grown = grown_by.get((span, rest))
+        if grown is None:
+            gens = prefixes[span]
+            grown = tuple(_extend_span(span, gens, y, d, p))
+            grown = spans.setdefault(grown, grown)
+            prefixes.setdefault(grown, gens + (y,))
+            grown_by[span, rest] = grown
         return grown
     leaves = Counter()
     for (span, _), count in _orbit_levels(conj, m, start, extend).items():

@@ -13,24 +13,27 @@ evaluation too.  Everything here is exact; no floating point is used.
 The counting pipeline spends nearly all of its time multiplying and adding
 integer polynomials, so the int case is the fast path:
 
-- normalising a coefficient tests ``type(c) is int`` before any Fraction
-  work (an isinstance check against Fraction goes through the abc
-  machinery and costs several times more), and the constructor makes that
-  test inline, so sums and scalar multiples of int polynomials pay one
-  type test per coefficient and no call;
+- the constructor tests the types of all coefficients at once, at C
+  level, and skips the per-coefficient normaliser when every one is an
+  exact int, so scalar multiples of int polynomials pay no call per
+  coefficient; any other coefficient goes through the normaliser, which
+  tests ``type(c) is int`` before any Fraction work (an isinstance check
+  against Fraction goes through the abc machinery and costs several
+  times more);
 - negation, q -> q^n, shift (times q^k), division by an int that
-  divides every coefficient and the product of two int polynomials give a
-  canonical result by construction, so a trusted constructor, private to
-  this module, builds it and only strips trailing zeros; every other
-  result involving a Fraction is normalised as before, so an integral
-  Fraction still comes out as an int;
+  divides every coefficient, and the sum and the product of two int
+  polynomials give a canonical result by construction, so a trusted
+  constructor, private to this module, builds it and only strips
+  trailing zeros; every other result involving a Fraction is normalised
+  as before, so an integral Fraction still comes out as an int;
 - the series kernels spend their time in sums of products, which _dot
   forms as one packed Kronecker sum when every factor has int
   coefficients: one slot width for the whole sum; each factor's
   coefficients packed into a big integer once, at the factor's own
   width, and that packing kept on the QPoly and copied byte by byte into
   the slots of any wider sum; the packed products added as integers and
-  the sum unpacked once.  A sum with any Fraction coefficient multiplies
+  the sum unpacked once, slots of at most 8 bytes read as native machine
+  words in one step.  A sum with any Fraction coefficient multiplies
   pair by pair instead; that is the one fallback.  A product of two int
   polynomials whose shorter factor has at least _KRONECKER_MIN_TERMS
   terms is the one-pair _dot; shorter int factors and every factor with a
@@ -39,6 +42,7 @@ integer polynomials, so the int case is the fast path:
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from itertools import accumulate
 from operator import add
@@ -121,12 +125,40 @@ def _offsets(own: int, width: int, n: int) -> int:
                           "little")
 
 
+# The native signed integer format of each machine word size, by item size
+# (checked, not assumed), and the sign byte that extends each top byte.
+_WORD_FORMATS = {memoryview(bytes(8)).cast(f).itemsize: f for f in "qlihb"}
+_SIGN_FILL = bytes(0xFF if b & 0x80 else 0 for b in range(256))
+
+
 def _kron_unpack(packed: int, width: int, n: int) -> list:
-    """The n coefficients inside +-half of a packed polynomial."""
-    half = 1 << (8 * width - 1)
-    raw = (packed + _offsets(width, width, n)).to_bytes(width * n, "little")
-    return [int.from_bytes(raw[i:i + width], "little") - half
-            for i in range(0, width * n, width)]
+    """The n coefficients inside +-half of a packed polynomial.
+
+    Adding half to every slot makes each one c + half, in [0, 2^(8 width));
+    flipping its top bit then leaves c as a width-byte two's complement
+    number, with no carry between slots.  On a little-endian host the
+    slots are then read as native machine words at C speed: in place when
+    width is a word size, else after a strided copy into slots of the next
+    word size whose high bytes repeat the sign.  Slots wider than every
+    word, and big-endian hosts, read one slot at a time.
+    """
+    offsets = _offsets(width, width, n)
+    if sys.byteorder != "little" or width > max(_WORD_FORMATS):
+        half = 1 << (8 * width - 1)
+        raw = (packed + offsets).to_bytes(width * n, "little")
+        return [int.from_bytes(raw[i:i + width], "little") - half
+                for i in range(0, width * n, width)]
+    raw = ((packed + offsets) ^ offsets).to_bytes(width * n, "little")
+    size = min(s for s in _WORD_FORMATS if s >= width)
+    if size != width:
+        words = bytearray(size * n)
+        for j in range(width):
+            words[j::size] = raw[j::width]
+        signs = raw[width - 1::width].translate(_SIGN_FILL)
+        for j in range(width, size):
+            words[j::size] = signs
+        raw = words
+    return memoryview(raw).cast(_WORD_FORMATS[size]).tolist()
 
 
 class QPoly:
@@ -149,7 +181,9 @@ class QPoly:
     __slots__ = ("coeffs", "_maxabs", "_packing")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [c if type(c) is int else _coefficient(c) for c in coeffs]
+        cs = list(coeffs)
+        if not _all_int(cs):
+            cs = [c if type(c) is int else _coefficient(c) for c in cs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -205,10 +239,9 @@ class QPoly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return QPoly(out)
+        out = list(map(add, a, b))
+        out += a[len(b):]
+        return _trusted(out) if _all_int(out) else QPoly(out)
 
     __radd__ = __add__
 
@@ -378,7 +411,7 @@ def _dot(pairs) -> QPoly:
     result, so one slot width serves all pairs; each factor is packed
     for that width by _packed (its leading zeros kept as a shift applied
     after the multiply), the packed products are added as integers, and
-    the sum is unpacked once per coefficient.  If any factor has a
+    the sum is unpacked once, by _kron_unpack.  If any factor has a
     Fraction coefficient, the pairs are multiplied one by one and added
     into a coefficient list, normalised once at the end.
 

@@ -401,14 +401,18 @@ def test_rref_key_does_not_depend_on_the_basis():
 
 def test_census_extends_and_classifies_each_algebra_once(monkeypatch):
     # once per orbit, (2, 3, 3) made 5032 extensions and 4888 locality
-    # sweeps, and (3, 2, 2) 203 and 197
+    # sweeps, and (3, 2, 2) 203 and 197; once per (algebra, element), 320
+    # extensions at (2, 3, 3), 197 at (3, 2, 2) and 2795 at (3, 2, 4); an
+    # element of the algebra extends nothing, and elements that differ by
+    # one extend it alike, so one extension is made per coset
     calls = {}
     for name in ("_extend_span", "_local_split"):
         def counted(*args, real=getattr(fforacle, name), name=name):
             calls[name] += 1
             return real(*args)
         monkeypatch.setattr(fforacle, name, counted)
-    for box, most in [((2, 3, 3), (320, 11)), ((3, 2, 2), (197, 20))]:
+    for box, most in [((2, 3, 3), (55, 11)), ((3, 2, 2), (145, 20)),
+                      ((3, 2, 4), (478, 26))]:
         calls.update(_extend_span=0, _local_split=0)
         orbit_census(*box)
         assert calls["_extend_span"] <= most[0], (box, calls)

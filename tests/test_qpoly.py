@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic, s-expansions and limits at q = 1."""
 
+import json
 import os
 import random
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 
 import charvar
 from charvar import qpoly
+from charvar.counting import build_table
 from charvar.qpoly import (
     ExactDivisionError, PoleError, QPoly, ONE, ZERO, expand_in_s, limit_at_1,
     poly_str, q, ratio,
@@ -453,6 +455,45 @@ def test_packed_dot_copies_the_kept_packing_to_every_width():
                 assert_dot([(partner, factor), (factor, narrow)])
 
 
+@pytest.mark.parametrize("byteorder", ["little", "big"])
+@pytest.mark.parametrize("width", [*range(1, 10), 16])
+def test_kron_unpack_reads_every_slot_width(monkeypatch, byteorder, width):
+    # 0, -1 and +-(half - 1) in slots of every width: read in place at a
+    # word size, through sign-filled wider words between them, one slot at
+    # a time past 8 bytes and, with the byte order forced to big, always
+    monkeypatch.setattr(sys, "byteorder", byteorder)
+    half = 1 << (8 * width - 1)
+    rng = random.Random(width)
+    cs = ([0, -1, half - 1, -(half - 1), 1, 0, -1, -(half - 1)]
+          + [rng.randint(1 - half, half - 1) for _ in range(40)] + [half - 1])
+    packed = sum(c << (8 * width * k) for k, c in enumerate(cs))
+    got = qpoly._kron_unpack(packed, width, len(cs))
+    assert got == cs and all(type(c) is int for c in got)
+    # a sum whose bound is half - 1 is unpacked from slots of this width
+    assert qpoly._slot_width(half - 1) == width
+    assert_dot([(QPoly(cs), ONE)])
+    assert_dot([(QPoly(cs[:3]), ONE), (QPoly(cs[3:5]), ONE)])
+
+
+def test_build_table_is_the_same_on_the_portable_unpack_path():
+    # a fresh interpreter with the byte order forced to big reads every
+    # slot one at a time; its rows are the native path's
+    script = (
+        "import json, sys\n"
+        "sys.byteorder = 'big'\n"
+        "from charvar.counting import build_table\n"
+        "rows = build_table(2, 8).rows\n"
+        "print(json.dumps([row.to_json_dict() for row in rows]))\n")
+    src = str(Path(charvar.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    native = [r.to_json_dict() for r in build_table(2, 8).rows]
+    assert json.loads(done.stdout) == native
+
+
 def test_build_table_packs_each_polynomial_once():
     # a fresh interpreter, so that no series is cached yet; the spy keeps
     # every packed QPoly alive, so no two of them share an id
@@ -545,8 +586,16 @@ def test_canonical_form_survives_fast_paths():
     halves = QPoly([Fraction(1, 2)] * (t + 1))
     for value in (halves + halves, halves * 2, halves * QPoly([2] * t)):
         assert value.coeffs and all(type(c) is int for c in value.coeffs)
+    one = QPoly([Fraction(1, 2)]) + QPoly([Fraction(1, 2)])
+    assert one.coeffs == (1,) and type(one.coeffs[0]) is int
     assert (q ** 20 + 1) + (-(q ** 20)) == ONE
     assert (q ** 20 + Fraction(1, 2)) - (q ** 20 + Fraction(1, 2)) == ZERO
+    # a sum keeps the longer operand's tail, in either order
+    long, short = QPoly([1, 2, Fraction(1, 3), 4]), QPoly([Fraction(1, 2), -2])
+    for value in (long + short, short + long):
+        assert value.coeffs == (Fraction(3, 2), 0, Fraction(1, 3), 4)
+        assert [type(c) for c in value.coeffs] == [Fraction, int, Fraction,
+                                                   int]
 
 
 def test_bool_coefficients_keep_value_semantics():
@@ -557,6 +606,9 @@ def test_bool_coefficients_keep_value_semantics():
     assert QPoly([True, False]).coeffs == (True,)
     assert [type(c) for c in p.coeffs] == [int, int, int]
     assert str(QPoly([True])) == "1"
+    for value in (QPoly(iter([True, 2])), QPoly([1]) + True):
+        assert [type(c) for c in value.coeffs] == [int] * len(value.coeffs)
+    assert QPoly(iter([True, 2])).coeffs == (1, 2)
 
 
 def test_inexact_coefficients_are_refused():
@@ -564,6 +616,8 @@ def test_inexact_coefficients_are_refused():
         with pytest.raises(TypeError, match="QPoly coefficient"):
             QPoly([1, bad])
     assert QPoly([Fraction(6, 3), 1]).coeffs == (2, 1)
+    with pytest.raises(TypeError):
+        QPoly([1]) + 0.5
 
 
 def test_shift_multiplies_by_a_power_of_q():
