@@ -76,8 +76,3 @@ def _partitions_capped(n: int, cap: int) -> Iterator[Tuple[int, ...]]:
     for first in range(min(n, cap), 0, -1):
         for rest in _partitions_capped(n - first, first):
             yield (first,) + rest
-
-
-def binom2(d: int) -> int:
-    """d choose 2."""
-    return d * (d - 1) // 2

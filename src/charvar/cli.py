@@ -188,14 +188,14 @@ def cmd_verify(args) -> tuple:
     except ValueError:
         raise ValueError("--primes takes comma-separated integers, "
                          f"got {args.primes!r}") from None
-    checks = run_verification(args.m, dmax=args.dmax, primes=primes)
+    dmax = default_dmax(args.m) if args.dmax is None else args.dmax
+    checks = run_verification(args.m, dmax=dmax, primes=primes)
     ok = all_passed(checks)
     code = EXIT_OK if ok else EXIT_VERIFY
     if args.format == "json":
         payload = {
             "m": args.m,
-            "dmax": args.dmax if args.dmax is not None
-                    else default_dmax(args.m),
+            "dmax": dmax,
             "primes": list(primes),
             "checks": [{"name": c.name, "passed": c.passed,
                         **({"skipped": True} if c.skipped else {}),
@@ -291,36 +291,45 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exact counts can pass CPython's cap on the digits of an int written
+    # as text (4300 by default); the cap is lifted while main runs
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
-        code, write = _COMMANDS[args.command](args)
-    except SizeGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIZE
-    except ArithmeticError as exc:
-        print(f"error: internal identity failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.output:
         try:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                write(handle)
-        except OSError as exc:
-            print(f"error: cannot write {args.output}: {exc.strerror}",
-                  file=sys.stderr)
+            code, write = _COMMANDS[args.command](args)
+        except SizeGuardError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_SIZE
+        except ArithmeticError as exc:
+            print(f"error: internal identity failure: {exc}", file=sys.stderr)
+            return EXIT_VERIFY
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
+        if args.output:
+            try:
+                with open(args.output, "w", encoding="utf-8") as handle:
+                    write(handle)
+            except OSError as exc:
+                print(f"error: cannot write {args.output}: {exc.strerror}",
+                      file=sys.stderr)
+                return EXIT_USAGE
+            return code
+        try:
+            write(sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed its end: what is left goes to the null
+            # device, so the flush at interpreter exit raises nothing either
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return code
-    try:
-        write(sys.stdout)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed its end: what is left goes to the null device,
-        # so the flush at interpreter exit raises nothing either
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-    return code
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

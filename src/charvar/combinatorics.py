@@ -95,24 +95,20 @@ def weight_poly(weights: Iterable[int]) -> QPoly:
 # -- connected tuples and the inversion identity -------------------------------
 
 
-def _invariant_prefixes(tup: PermTuple, n: int) -> List[int]:
-    # k in 1..n-1 with every permutation mapping {0..k-1} to itself setwise
-    out = []
-    running_max = [0] * len(tup)
-    for k in range(1, n):
-        ok = True
-        for i, perm in enumerate(tup):
-            running_max[i] = max(running_max[i], perm[k - 1])
-            if running_max[i] >= k:
-                ok = False
-        if ok:
-            out.append(k)
-    return out
-
-
 def is_connected(tup: PermTuple, n: int) -> bool:
     """No proper initial segment {1..k}, k < n, is invariant under all."""
-    return not _invariant_prefixes(tup, n)
+    # a permutation maps {0..k-1} to itself when its first k entries all
+    # stay below k
+    highest = [0] * len(tup)
+    for k in range(1, n):
+        invariant = True
+        for i, perm in enumerate(tup):
+            highest[i] = max(highest[i], perm[k - 1])
+            if highest[i] >= k:
+                invariant = False
+        if invariant:
+            return False
+    return True
 
 
 def connected_tuples(n: int, m: int) -> List[PermTuple]:
@@ -338,9 +334,10 @@ def perm_rep_census(n: int, m: int) -> CensusRow:
     label is 0, and |Aut| of its orbit is its stabiliser's order."""
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
-    # m levels over the (n!)**2 table, though each key is split once
-    if _exceeds(itertools.chain((m,), range(1, n + 1), range(1, n + 1)), 1,
-                4_000_000):
+    # m levels over the (n!)**2 table, though each key is split once; the
+    # table alone passes the limit from n = 7 on, so n > 10 is refused
+    # without building n!
+    if n > 10 or m * factorial(n) ** 2 > 4_000_000:
         raise SizeGuardError(f"census of S_{n}^{m} is too large")
     total = factorial(n) ** m
     gens = [(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)]

@@ -155,8 +155,7 @@ def class_weight_series(m: int, order: int) -> TSeries:
 
     where G(a, s) sums r_lambda^(m-1) over the partitions of s with largest
     part a, and the t^s-coefficient is sum_a G(a, s).  That takes about
-    order^3/12 polynomial products where the partition sum took a product
-    and a power per partition.  No weight is a product of its own:
+    order^3/12 polynomial products.  No weight is a product of its own:
 
         f(a, k)^(m-1) = q^((m-1)(a^2 - k(k+1)/2)) P_k^(m-1),
 

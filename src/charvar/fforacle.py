@@ -307,14 +307,13 @@ def orbit_census(d: int, p: int, m: int) -> OracleCensus:
         raise SizeGuardError(f"{levels} over a {n}**2 table is too much")
     group, conj = _group_table(identity(d), _generators(d, p),
                                lambda a, b: mat_mul(a, b, d, p), n)
-    # per echelon span of A, the first prefix to generate it, which has at
-    # most d*d - 1 entries since each one enlarged A
+    # per echelon span of A, that span itself, interned so that the memo
+    # below holds no equal copies, and the first prefix to generate A,
+    # which has at most d*d - 1 entries since each one enlarged A
     start = ((0, identity(d)),)
-    prefixes = {start: ()}
+    prefixes = {start: (start, ())}
     # the span of A and y per (A, y modulo A), since A and y generate what
-    # A and y + a do for every a in A; spans are interned, so the memo
-    # holds no equal copies
-    spans = {start: start}
+    # A and y + a do for every a in A
     grown_by = {}
 
     def extend(span, i):
@@ -324,10 +323,9 @@ def orbit_census(d: int, p: int, m: int) -> OracleCensus:
             return span
         grown = grown_by.get((span, rest))
         if grown is None:
-            gens = prefixes[span]
+            gens = prefixes[span][1]
             grown = tuple(_extend_span(span, gens, y, d, p))
-            grown = spans.setdefault(grown, grown)
-            prefixes.setdefault(grown, gens + (y,))
+            grown = prefixes.setdefault(grown, (grown, gens + (y,)))[0]
             grown_by[span, rest] = grown
         return grown
     leaves = Counter()
@@ -335,7 +333,7 @@ def orbit_census(d: int, p: int, m: int) -> OracleCensus:
         leaves[span] += count
     orbits = abs_irr = abs_ind = 0
     for span, count in leaves.items():
-        gens = prefixes[span]
+        gens = prefixes[span][1]
         irr = len(span) == d * d
         ind = is_absolutely_indecomposable(gens, d, p)
         # irreducible forces indecomposable; anything else is a bug

@@ -198,7 +198,7 @@ def pow_product(f: TSeries) -> TSeries:
     beyond the order, so the product stops at d = f.order.
     """
     _require_unit_constant(f, "pow_product")
-    acc = TSeries.one(f.order)
+    acc = TSeries(f.order, [1])
     for d in range(1, f.order + 1):
         acc = acc * pow_scalar(f.adams(d), -irreducible_poly_count(d))
     return acc

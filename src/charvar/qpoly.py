@@ -198,10 +198,6 @@ class QPoly:
         """Degree; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -313,7 +309,7 @@ class QPoly:
         """Substitute q -> q^n, n >= 1."""
         if n < 1:
             raise ValueError("adams operation needs n >= 1")
-        if n == 1 or self.is_zero:
+        if n == 1 or not self:
             return self
         out = [0] * (self.degree * n + 1)
         out[::n] = self.coeffs
@@ -457,7 +453,7 @@ def poly_str(p: QPoly) -> str:
 
 def _poly_str(p: QPoly, monomial: Callable[[int], str]) -> str:
     # monomial(k) renders the k-th power of the variable, k >= 1
-    if p.is_zero:
+    if not p:
         return "0"
     parts = []
     for k in range(p.degree, -1, -1):
@@ -529,7 +525,7 @@ def ratio(num: QPoly, den) -> QPoly:
     """
     if isinstance(den, (int, Fraction)):
         den = QPoly((den,))
-    if den.is_zero:
+    if not den:
         raise ZeroDivisionError("polynomial division by zero")
     rem, dd, lead = list(num.coeffs), den.degree, den.coeffs[-1]
     quot = [0] * max(len(rem) - dd, 0)
@@ -557,9 +553,9 @@ def limit_at_1(num: QPoly, den: QPoly = ONE) -> Scalar:
     >>> limit_at_1(q ** 2 - 1, q - 1)
     2
     """
-    if den.is_zero:
+    if not den:
         raise ZeroDivisionError("zero denominator")
-    if num.is_zero:
+    if not num:
         return 0
     # each expansion stops at its lowest nonzero coefficient
     vn, cn = next((k, c) for k, c in enumerate(_s_coeffs(num)) if c)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .arith import binom2
 from .qpoly import QPoly, ZERO, ONE, _dot
 
 
@@ -54,10 +53,6 @@ class TSeries:
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    @staticmethod
-    def one(order: int) -> "TSeries":
-        return TSeries.from_terms(order, {0: 1})
 
     def coeff(self, d: int) -> QPoly:
         """Coefficient of t^d (zero for d < 0 and beyond the order)."""
@@ -135,7 +130,7 @@ class TSeries:
         """Scale the t^d coefficient by q^((m-1)*binom(d,2)), m >= 1."""
         if m < 1:
             raise ValueError("m must be >= 1")
-        return TSeries(self.order, [c.shift((m - 1) * binom2(d))
+        return TSeries(self.order, [c.shift((m - 1) * (d * (d - 1) // 2))
                                     for d, c in enumerate(self.coeffs)])
 
     def __str__(self):

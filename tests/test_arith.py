@@ -3,7 +3,7 @@
 import pytest
 
 from charvar.arith import (
-    binom2, divisors, factorize, is_prime, mobius, partitions, totient,
+    divisors, factorize, is_prime, mobius, partitions, totient,
 )
 
 
@@ -61,7 +61,3 @@ def test_partition_order_and_validity():
             seen.add(lam)
         # reverse-lexicographic ordering
         assert list(partitions(n)) == sorted(partitions(n), reverse=True)
-
-
-def test_binom2():
-    assert [binom2(d) for d in range(6)] == [0, 0, 1, 3, 6, 10]

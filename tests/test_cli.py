@@ -15,7 +15,8 @@ import pytest
 import charvar
 from charvar import cli, counting
 from charvar.cli import build_parser, cmd_polys, main
-from charvar.combinatorics import connected_tuples, inversions, weight_poly
+from charvar.combinatorics import (connected_tuples, hall_subgroup_counts,
+                                   inversions, weight_poly)
 from charvar.counting import build_table
 from charvar.qpoly import ExactDivisionError, PoleError
 
@@ -347,6 +348,48 @@ def test_oracle_output(capsys):
     code, out, _ = run(capsys, "oracle", "--d", "2", "--p", "2", "--m", "2",
                        "--format", "csv")
     assert out.splitlines()[1] == "2,2,2,6,11,3,6"
+
+
+@pytest.fixture
+def digit_cap():
+    """CPython's default cap on the digits of an int written as text, set
+    for the test and restored after it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str digit cap")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_counts_past_the_int_digit_cap(capsys, digit_cap, fmt):
+    # the orbit count has 4669 digits and the last subgroup count 46052;
+    # main lifts the cap while it runs and puts it back
+    m = 6000
+    code, oracle, err = run(capsys, "oracle", "--d", "2", "--p", "2",
+                            "--m", str(m), "--format", fmt)
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == digit_cap
+    code, subgroups, err = run(capsys, "subgroups", "--m", "10000",
+                               "--nmax", "8", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == digit_cap
+    sys.set_int_max_str_digits(0)       # to read the counts back
+    if fmt == "json":
+        orbits = json.loads(oracle)["orbits"]
+        counts = json.loads(subgroups)["counts"]
+    elif fmt == "csv":
+        assert oracle.startswith("d,p,m,group_order,orbits,abs_irr,abs_ind\n")
+        orbits = int(oracle.splitlines()[1].split(",")[4])
+        counts = [int(line.split(",")[1])
+                  for line in subgroups.splitlines()[1:]]
+    else:
+        orbits = int(oracle.splitlines()[1].removeprefix("orbits: "))
+        counts = [int(c) for c in subgroups.splitlines()[1].split(",")]
+    # Burnside over GL_2(F_2) = S_3: classes with centralisers 6, 2, 3
+    assert orbits == 6 ** (m - 1) + 3 ** (m - 1) + 2 ** (m - 1)
+    assert counts == hall_subgroup_counts(10000, 8)
 
 
 @pytest.mark.parametrize("error", [ExactDivisionError, PoleError],

@@ -16,7 +16,7 @@ import charvar
 from charvar import combinatorics
 from charvar.combinatorics import (
     CensusRow, IdentityError, SizeGuardError, _group_table,
-    _invariant_prefixes, _join, census_series_checks, connected_tuples,
+    _join, census_series_checks, connected_tuples,
     connected_weight_poly, connected_weight_series, hall_subgroup_counts,
     inversions, is_connected, limit_transform, perm_rep_census,
     q_factorial, subgroup_counts, weight_poly,
@@ -27,8 +27,8 @@ from charvar.verify import run_verification
 
 def largest_invariant_prefix(tup, n):
     """Largest k < n with {1..k} invariant under every entry; 0 if none."""
-    ks = _invariant_prefixes(tup, n)
-    return ks[-1] if ks else 0
+    return max((k for k in range(1, n) if all(max(p[:k]) < k for p in tup)),
+               default=0)
 
 
 def block_decompose(tup, n):
@@ -423,6 +423,35 @@ def test_census_guard_admits_every_box_the_tuple_sweep_guard_did(
                                 for m in range(1, 21) if swept(n, m)]
     assert {n for n, _ in boxes} == {1, 2, 3, 4, 5, 6} and len(boxes) > 40
     assert [box for box in boxes if not _admits(monkeypatch, *box)] == []
+
+
+def test_census_guard_refuses_what_the_factor_by_factor_guard_did(
+        monkeypatch):
+    # the guard once multiplied m, 1..n and 1..n in one at a time, stopping
+    # past the limit; m * (n!)**2 with n > 10 refused outright is the same
+    def factor_by_factor(n, m):
+        return combinatorics._exceeds(
+            itertools.chain((m,), range(1, n + 1), range(1, n + 1)), 1,
+            4_000_000)
+    boxes = []
+    for n in range(1, 16):
+        edge = 4_000_000 // factorial(n) ** 2
+        boxes += [(n, m) for m in sorted({1, 2, 3, edge - 1, edge, edge + 1,
+                                          10 ** 6, 10 ** 100}) if m >= 1]
+    refused = [box for box in boxes if not _admits(monkeypatch, *box)]
+    assert refused == [box for box in boxes if factor_by_factor(*box)]
+    assert 0 < len(refused) < len(boxes) - 20
+
+    # a large n is refused without building n!
+    def small_factorial(k):
+        if k > 10:
+            raise AssertionError(f"built {k}!")
+        return factorial(k)
+
+    monkeypatch.setattr(combinatorics, "factorial", small_factorial)
+    for n, m in ((10 ** 6, 1), (11, 1), (10 ** 100, 10 ** 100)):
+        with pytest.raises(SizeGuardError, match=rf"^census of S_{n}\^{m} "):
+            perm_rep_census.__wrapped__(n, m)
 
 
 def test_exceeds_compares_the_power_without_building_it():

@@ -34,7 +34,7 @@ def t_series(order):
 
 
 def _is_zero(c):
-    return isinstance(c, QPoly) and c.is_zero
+    return isinstance(c, QPoly) and not c
 
 
 def ref_adams_sum(f, weight):
@@ -145,11 +145,11 @@ def test_psi_inverse_pair():
 
 def test_psi_rejects_constant_term():
     with pytest.raises(ValueError):
-        psi(TSeries.one(3))
+        psi(TSeries(3, [1]))
     with pytest.raises(ValueError):
         Log(t_series(3))
     with pytest.raises(ValueError):
-        Exp(TSeries.one(3))
+        Exp(TSeries(3, [1]))
 
 
 def test_series_exp_log_roundtrip():
@@ -250,7 +250,7 @@ def test_pow_product_matches_Pow():
     for _ in range(6):
         f = rand_unit_series(rng, rng.randint(2, 6))
         assert pow_product(f) == Pow(f, 1 - q)
-    assert pow_product(TSeries.one(5)) == TSeries.one(5)
+    assert pow_product(TSeries(5, [1])) == TSeries(5, [1])
     g = pow_product(TSeries(4, [1, -1]))
     assert g.coeff(1) == q - 1
     with pytest.raises(TypeError):

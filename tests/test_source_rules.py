@@ -143,3 +143,39 @@ def test_src_imports_only_the_standard_library():
                         if module.split(".")[0] not in sys.stdlib_module_names]
     assert absolute > 20 and relative > 10
     assert foreign == []
+
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _traced_names():
+    """(module, name) of each module-level function that the benchmark's
+    tracer patches by its TIMED and COUNTED lists, read from its text."""
+    traced = set()
+    for node in ast.parse(TRACER.read_text(), str(TRACER)).body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) in ("TIMED", "COUNTED")
+                for target in node.targets):
+            traced |= {(module, name)
+                       for module, names in ast.literal_eval(node.value).items()
+                       for name in names if "." not in name}
+    return traced
+
+
+def test_every_public_name_has_a_reader_in_the_package():
+    # public code only the tests call is an API nobody in the package
+    # needs; the tracer's names stay importable until the package traces
+    # itself, and arith.partitions waits for a second route to M_d(q)
+    keep = _traced_names() | {("arith", "partitions")}
+    statements = [(path.stem, node, _read_names(node)) for path in SOURCES
+                  if path.name != "__init__.py"
+                  for node in ast.parse(path.read_text(), str(path)).body]
+    public = [(module, node) for module, node, _ in statements
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")]
+    unread = sorted((module, node.name) for module, node in public
+                    if not any(node.name in names
+                               for _, other, names in statements
+                               if other is not node))
+    assert len(public) > 60 and len(keep) > 20
+    assert [name for name in unread if name not in keep] == []
