@@ -11,10 +11,9 @@ brute-force enumeration over small finite fields and symmetric groups.
 
 from .arith import divisors, factorize, is_prime, mobius, partitions, totient
 from .combinatorics import (
-    CensusRow, IdentityError, SizeGuardError, census_series_checks,
-    connected_tuples, connected_weight_poly, connected_weight_series,
-    hall_subgroup_counts, inversions, limit_transform, perm_rep_census,
-    q_factorial, subgroup_counts,
+    CensusRow, census_series_checks, connected_tuples, connected_weight_poly,
+    connected_weight_series, hall_subgroup_counts, inversions,
+    limit_transform, perm_rep_census, q_factorial, subgroup_counts,
 )
 from .counting import (
     CharVarTable, IntegralityError, TableRow,
@@ -24,8 +23,8 @@ from .counting import (
     rep_counts, rep_series, s_positive, uv_str,
 )
 from .fforacle import (
-    OracleCensus, gl_enumerate, gl_order, is_absolutely_indecomposable,
-    is_absolutely_irreducible, orbit_census,
+    IdentityError, OracleCensus, SizeGuardError, gl_enumerate, gl_order,
+    is_absolutely_indecomposable, is_absolutely_irreducible, orbit_census,
 )
 from .plethystic import Exp, Log, Pow, irreducible_poly_count, pow_product
 from .qpoly import (

@@ -30,11 +30,11 @@ import os
 import sys
 from itertools import chain, islice
 
-from .combinatorics import (SizeGuardError, connected_tuples, inversions,
-                            subgroup_counts, weight_poly)
+from .combinatorics import (connected_tuples, inversions, subgroup_counts,
+                            weight_poly)
 from .counting import (TableRow, build_table, default_dmax, e_polynomial,
                        uv_str)
-from .fforacle import orbit_census
+from .fforacle import SizeGuardError, orbit_census
 from .qpoly import poly_str
 from .verify import all_passed, run_verification
 

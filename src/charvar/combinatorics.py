@@ -15,8 +15,8 @@ Three strands, all exact:
     classes, and automorphism weights, cross-checked against the subgroup
     counts and two exponential identities.
 
-Both brute-force censuses, this one and fforacle.orbit_census, build their
-table with _group_table and count its orbits with _orbit_levels.
+The census counts its orbits with fforacle._orbit_levels, the engine of
+the matrix census fforacle.orbit_census; the guards' errors live there too.
 """
 
 from __future__ import annotations
@@ -30,37 +30,13 @@ from typing import Iterable, List, NamedTuple, Tuple
 
 from .arith import divisors
 from .counting import abs_irr_counts
+from .fforacle import IdentityError, SizeGuardError, _exceeds, _orbit_levels
 from .plethystic import Exp, series_exp, series_log
 from .qpoly import QPoly, ONE, ZERO, _dot, limit_at_1, q
 from .tseries import TSeries
 
 Perm = Tuple[int, ...]
 PermTuple = Tuple[Perm, ...]
-
-
-class SizeGuardError(RuntimeError):
-    """A brute-force enumeration would exceed its size budget."""
-
-
-class IdentityError(ArithmeticError):
-    """A brute-force computation contradicted an identity it must satisfy."""
-
-
-def _exceeds(factors: Iterable[int], length: int, limit: int) -> bool:
-    """prod(factors)**length > limit or length > limit, for length >= 1,
-    without building either number: factors are multiplied in one at a
-    time up to the first partial product past the limit."""
-    base = 1
-    for f in factors:
-        base *= f
-        if base > limit:
-            return True
-    power = 1
-    for _ in range(length if base > 1 else 0):   # 1**length never passes
-        power *= base
-        if power > limit:
-            return True
-    return length > limit
 
 
 # -- inversion statistics ------------------------------------------------------
@@ -222,99 +198,6 @@ class CensusRow(NamedTuple):
     aut_weight_all: Fraction  # same sum over all orbits; equals (n!)^(m-1)
 
 
-def _orbits(rows: list) -> list:
-    """(least index, size) of each orbit of the group whose elements, as
-    index permutations, are the rows."""
-    seen, out = set(), []
-    for x in range(len(rows[0])):
-        if x not in seen:
-            orbit = {row[x] for row in rows}
-            seen |= orbit
-            out.append((x, len(orbit)))
-    if sum(size for _, size in out) != len(rows[0]):
-        raise IdentityError("orbit sizes do not add up to the group order")
-    return out
-
-
-def _group_table(one, gens: list, mul, order: int):
-    """(group, conj) of the group of the given order that gens generate:
-    group[0] is one, and conj[g][x] indexes group[g] x group[g]^-1.
-
-    A breadth-first pass of left multiplication by the generators lists
-    the group, records each generator's left multiplication as an index
-    row and a spanning tree of the Cayley graph; it makes the only
-    products, one per element and generator.  Right multiplication by
-    s^-1 is composed along the tree, since (t h) s^-1 = t (h s^-1), and
-    s x s^-1 is left multiplication by s after it.  Every other row is
-    composed along the tree too, since (s h) x (s h)^-1 = s (h x h^-1) s^-1
-    gives conj[s h] = perm_s o conj[h], one list lookup per entry.
-    """
-    group, index, tree = [one], {one: 0}, []
-    left = [[] for _ in gens]
-    for h, x in enumerate(group):    # grows while it is read: breadth first
-        for s, gen in enumerate(gens):
-            y = mul(gen, x)
-            j = index.get(y)
-            if j is None:
-                j = index[y] = len(group)
-                group.append(y)
-                tree.append((s, h))
-            left[s].append(j)
-    if len(group) != order:
-        raise IdentityError(f"generators reached {len(group)} of "
-                            f"{order} group elements")
-    perms = []
-    for row in left:
-        inv, power = 0, row[0]       # s^-1 is the power just before one
-        while power:
-            inv, power = power, row[power]
-        right = [inv]
-        for t, h in tree:
-            right.append(left[t][right[h]])
-        perms.append(tuple(map(row.__getitem__, right)))
-    conj = [tuple(range(order))]
-    for s, h in tree:
-        conj.append(tuple(map(perms[s].__getitem__, conj[h])))
-    return group, conj
-
-
-def _orbit_levels(conj: list, m: int, start, extend) -> Counter:
-    """Orbit counts of the conjugation orbits on m-tuples, per the
-    (state, stabiliser) key of their tuples, one tuple entry a level.
-
-    conj[g][x] indexes g x g^-1 in one list of the group's elements.  The
-    first entry runs over the class representatives, each next one over
-    the orbit representatives of the stabiliser of the entries before it.
-    extend(state, index) folds a tuple's state from ``start``.  What lies
-    below a prefix depends only on its key, so each key's row, the keys of
-    its stabiliser's orbit representatives, is split once per call and
-    summed into every level where the key recurs.  The total is checked
-    against Burnside's sum over classes of |centraliser|**(m-1), whose
-    sizes come from a split of their own, not from the rows.
-    """
-    classes = _orbits(conj)
-    rows = {}
-    level = Counter({(start, tuple(range(len(conj)))): 1})
-    for _ in range(m):
-        below = Counter()
-        for key, count in level.items():
-            row = rows.get(key)
-            if row is None:
-                state, stabiliser = key
-                row = rows[key] = Counter(
-                    (extend(state, i),
-                     tuple(g for g in stabiliser if conj[g][i] == i))
-                    for i, _ in _orbits([conj[g] for g in stabiliser]))
-            for child, times in row.items():
-                below[child] += times * count
-        level = below
-    orbits = sum(level.values())
-    burnside = sum((len(conj) // size) ** (m - 1) for _, size in classes)
-    if orbits != burnside:
-        raise IdentityError(f"swept {orbits} orbits, Burnside: {burnside}")
-    return level
-
-
 def _join(blocks: Perm, perm: Perm) -> Perm:
     """Orbit labels once perm joins the group: blocks[x] labels x by the
     least point of its orbit, and merging the blocks of each x and
@@ -339,15 +222,14 @@ def perm_rep_census(n: int, m: int) -> CensusRow:
     # without building n!
     if n > 10 or m * factorial(n) ** 2 > 4_000_000:
         raise SizeGuardError(f"census of S_{n}^{m} is too large")
-    total = factorial(n) ** m
+    order = factorial(n)
+    total = order ** m
     gens = [(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)]
-    perms, conj = _group_table(tuple(range(n)), gens if n > 1 else [],
-                               lambda a, b: tuple(map(a.__getitem__, b)),
-                               factorial(n))
     kinds = Counter()
     for (blocks, stabiliser), count in _orbit_levels(
-            conj, m, tuple(range(n)),
-            lambda blocks, i: _join(blocks, perms[i])).items():
+            tuple(range(n)), gens if n > 1 else [],
+            lambda a, b: tuple(map(a.__getitem__, b)), order, m,
+            tuple(range(n)), _join).items():
         kinds[not any(blocks), len(stabiliser)] += count
     orbit_count = transitive_count = 0
     aut_weight = aut_weight_all = Fraction(0)
@@ -357,7 +239,7 @@ def perm_rep_census(n: int, m: int) -> CensusRow:
         if transitive:
             transitive_count += count
             aut_weight += Fraction(count, aut)
-    if aut_weight_all != Fraction(total, len(perms)):
+    if aut_weight_all != Fraction(total, order):
         raise IdentityError("identity violated")
     return CensusRow(n=n, m=m, total=total, orbit_count=orbit_count,
                      transitive_count=transitive_count, aut_weight=aut_weight,

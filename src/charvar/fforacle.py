@@ -7,14 +7,15 @@ absolutely irreducible or absolutely indecomposable.  Matching the two
 routes at several primes is strong evidence that the symbolic counts are
 polynomials in q evaluated correctly.
 
-The census is the level-by-level stabiliser-chain count
-combinatorics._orbit_levels over the conjugation table that
-combinatorics._group_table builds from generators of GL_d(F_p), so it
-sweeps no p**(d*d) matrices.  A prefix is classified by the unital
-algebra A it generates alone, so its state is the echelon span of A,
-and its stabiliser is the centraliser of A: each A is one key, split
-once, so each classification of A is made at most once, not once per
-orbit, and each extension of A at most once per coset of A.
+The census is the level-by-level stabiliser-chain count _orbit_levels
+over the conjugation table that _group_table builds from generators of
+GL_d(F_p), so it sweeps no p**(d*d) matrices; the S_n census of
+combinatorics runs on it too.  This module imports only arith, so the
+oracle loads none of the series pipeline it checks.  A prefix is
+classified by the unital algebra A it generates alone, so its state is
+the echelon span of A, and its stabiliser is the centraliser of A: each
+A is one key, split once, so each classification of A is made at most
+once, not once per orbit, and each extension of A at most once per coset.
 
 Matrices are flat tuples of length d*d with entries reduced mod p, row
 major.  Their one row reduction is the reduced echelon basis of
@@ -31,21 +32,44 @@ import bisect
 import itertools
 import operator
 from collections import Counter
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .arith import factorize, is_prime
-from .combinatorics import (IdentityError, SizeGuardError, _exceeds,
-                            _group_table, _orbit_levels)
 
 __all__ = [
-    "OracleCensus", "endomorphism_basis", "gl_enumerate", "gl_order",
-    "identity", "is_absolutely_indecomposable", "is_absolutely_irreducible",
-    "mat_inv", "mat_mul", "orbit_census",
+    "IdentityError", "OracleCensus", "SizeGuardError", "endomorphism_basis",
+    "gl_enumerate", "gl_order", "identity", "is_absolutely_indecomposable",
+    "is_absolutely_irreducible", "mat_inv", "mat_mul", "orbit_census",
 ]
 
 # gl_order and gl_enumerate admit p**(d*d); the census m * |GL_d(F_p)|**2
 _ENUM_LIMIT = 100_000
 _CENSUS_LIMIT = 400_000
+
+
+class SizeGuardError(RuntimeError):
+    """A brute-force enumeration would exceed its size budget."""
+
+
+class IdentityError(ArithmeticError):
+    """A brute-force computation contradicted an identity it must satisfy."""
+
+
+def _exceeds(factors: Iterable[int], length: int, limit: int) -> bool:
+    """prod(factors)**length > limit or length > limit, for length >= 1,
+    without building either number: factors are multiplied in one at a
+    time up to the first partial product past the limit."""
+    base = 1
+    for f in factors:
+        base *= f
+        if base > limit:
+            return True
+    power = 1
+    for _ in range(length if base > 1 else 0):   # 1**length never passes
+        power *= base
+        if power > limit:
+            return True
+    return length > limit
 
 
 def identity(d: int) -> tuple:
@@ -275,6 +299,102 @@ def _extend_span(span: list, mats: tuple, y: tuple, d: int, p: int) -> list:
     return span
 
 
+def _orbits(rows: list) -> list:
+    """(least index, size) of each orbit of the group whose elements, as
+    index permutations, are the rows."""
+    seen, out = set(), []
+    for x in range(len(rows[0])):
+        if x not in seen:
+            orbit = {row[x] for row in rows}
+            seen |= orbit
+            out.append((x, len(orbit)))
+    if sum(size for _, size in out) != len(rows[0]):
+        raise IdentityError("orbit sizes do not add up to the group order")
+    return out
+
+
+def _group_table(one, gens: list, mul, order: int):
+    """(group, conj) of the group of the given order that gens generate:
+    group[0] is one, and conj[g][x] indexes group[g] x group[g]^-1.
+
+    A breadth-first pass of left multiplication by the generators lists
+    the group, records each generator's left multiplication as an index
+    row and a spanning tree of the Cayley graph; it makes the only
+    products, one per element and generator.  Right multiplication by
+    s^-1 is composed along the tree, since (t h) s^-1 = t (h s^-1), and
+    s x s^-1 is left multiplication by s after it.  Every other row is
+    composed along the tree too, since (s h) x (s h)^-1 = s (h x h^-1) s^-1
+    gives conj[s h] = perm_s o conj[h], one list lookup per entry.
+    """
+    group, index, tree = [one], {one: 0}, []
+    left = [[] for _ in gens]
+    for h, x in enumerate(group):    # grows while it is read: breadth first
+        for s, gen in enumerate(gens):
+            y = mul(gen, x)
+            j = index.get(y)
+            if j is None:
+                j = index[y] = len(group)
+                group.append(y)
+                tree.append((s, h))
+            left[s].append(j)
+    if len(group) != order:
+        raise IdentityError(f"generators reached {len(group)} of "
+                            f"{order} group elements")
+    perms = []
+    for row in left:
+        inv, power = 0, row[0]       # s^-1 is the power just before one
+        while power:
+            inv, power = power, row[power]
+        right = [inv]
+        for t, h in tree:
+            right.append(left[t][right[h]])
+        perms.append(tuple(map(row.__getitem__, right)))
+    conj = [tuple(range(order))]
+    for s, h in tree:
+        conj.append(tuple(map(perms[s].__getitem__, conj[h])))
+    return group, conj
+
+
+def _orbit_levels(one, gens: list, mul, order: int, m: int, start,
+                  extend) -> Counter:
+    """Orbit counts of the conjugation orbits on m-tuples, per the
+    (state, stabiliser) key of their tuples, one tuple entry a level.
+
+    The group that gens generate, and conj[g][x] indexing g x g^-1 in it,
+    come from _group_table.  The first entry runs over the class
+    representatives, each next one over the orbit representatives of the
+    stabiliser of the entries before it.  extend(state, element) folds a
+    tuple's state from ``start``.  What lies below a prefix depends only
+    on its key, so each key's row, the keys of its stabiliser's orbit
+    representatives, is split once per call and summed into every level
+    where the key recurs.  The total is checked against Burnside's sum
+    over classes of |centraliser|**(m-1), whose sizes come from a split of
+    their own, not from the rows.
+    """
+    group, conj = _group_table(one, gens, mul, order)
+    classes = _orbits(conj)
+    rows = {}
+    level = Counter({(start, tuple(range(order))): 1})
+    for _ in range(m):
+        below = Counter()
+        for key, count in level.items():
+            row = rows.get(key)
+            if row is None:
+                state, stabiliser = key
+                row = rows[key] = Counter(
+                    (extend(state, group[i]),
+                     tuple(g for g in stabiliser if conj[g][i] == i))
+                    for i, _ in _orbits([conj[g] for g in stabiliser]))
+            for child, times in row.items():
+                below[child] += times * count
+        level = below
+    orbits = sum(level.values())
+    burnside = sum((order // size) ** (m - 1) for _, size in classes)
+    if orbits != burnside:
+        raise IdentityError(f"swept {orbits} orbits, Burnside: {burnside}")
+    return level
+
+
 class OracleCensus(NamedTuple):
     d: int
     p: int
@@ -305,8 +425,6 @@ def orbit_census(d: int, p: int, m: int) -> OracleCensus:
     if m * n * n > _CENSUS_LIMIT:
         levels = f"{m} level" + "s" * (m > 1)
         raise SizeGuardError(f"{levels} over a {n}**2 table is too much")
-    group, conj = _group_table(identity(d), _generators(d, p),
-                               lambda a, b: mat_mul(a, b, d, p), n)
     # per echelon span of A, that span itself, interned so that the memo
     # below holds no equal copies, and the first prefix to generate A,
     # which has at most d*d - 1 entries since each one enlarged A
@@ -316,8 +434,7 @@ def orbit_census(d: int, p: int, m: int) -> OracleCensus:
     # A and y + a do for every a in A
     grown_by = {}
 
-    def extend(span, i):
-        y = group[i]
+    def extend(span, y):
         rest = tuple(_reduced(span, y, p))
         if not any(rest):
             return span
@@ -329,7 +446,9 @@ def orbit_census(d: int, p: int, m: int) -> OracleCensus:
             grown_by[span, rest] = grown
         return grown
     leaves = Counter()
-    for (span, _), count in _orbit_levels(conj, m, start, extend).items():
+    for (span, _), count in _orbit_levels(
+            identity(d), _generators(d, p), lambda a, b: mat_mul(a, b, d, p),
+            n, m, start, extend).items():
         leaves[span] += count
     orbits = abs_irr = abs_ind = 0
     for span, count in leaves.items():

@@ -16,16 +16,16 @@ from typing import NamedTuple
 
 from .arith import divisors, mobius, totient
 from .combinatorics import (
-    IdentityError, SizeGuardError, _exceeds, census_series_checks,
-    connected_weight_poly, connected_weight_series, hall_subgroup_counts,
-    limit_transform, subgroup_counts,
+    census_series_checks, connected_weight_poly, connected_weight_series,
+    hall_subgroup_counts, limit_transform, subgroup_counts,
 )
 from .counting import (
     _twisted_inverse, abs_ind_counts, abs_ind_series, abs_irr_counts,
     class_weight_series, default_dmax, e_polynomial, euler_characteristics,
     orbit_counts, orbit_series, rep_counts, rep_series, s_positive,
 )
-from .fforacle import gl_order, orbit_census
+from .fforacle import (IdentityError, SizeGuardError, _exceeds, gl_order,
+                       orbit_census)
 from .plethystic import Exp, Log, irreducible_poly_count, pow_product, Pow
 from .qpoly import ONE, QPoly, q
 from .tseries import TSeries
@@ -167,7 +167,7 @@ def _check_subgroup_limits(m, dmax):
 
 def _check_census(m, dmax):
     bound = 1
-    # the census guard's budget: m levels over an ((bound + 1)!)**2 table
+    # verify's own budget in the census guard's form, m * ((bound + 1)!)**2
     while bound < 4 and m * factorial(bound + 1) ** 2 <= 20_000:
         bound += 1
     results = census_series_checks(bound, m)

@@ -4,7 +4,6 @@ import hashlib
 import importlib.util
 import json
 import os
-import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -704,43 +703,6 @@ def test_streamed_permstats_json_is_the_one_shot_json(capsys, monkeypatch,
                           for tup, w in zip(tuples, weights)]}
     assert out == json.dumps(payload, indent=2) + "\n"
     assert len(payload["tuples"]) == (0 if empty else 29)
-
-
-def _other_interpreters() -> list:
-    """Each python3.10 to python3.13 on PATH that starts and is not the
-    running interpreter; a version-manager shim with nothing behind it
-    fails to start and is left out."""
-    found = {}
-    for minor in range(10, 14):
-        exe = shutil.which(f"python3.{minor}")
-        if exe is None:
-            continue
-        done = subprocess.run([exe, "-c", "import sys; print(sys.executable)"],
-                              capture_output=True, text=True, timeout=60)
-        real = os.path.realpath(done.stdout.strip())
-        if done.returncode == 0 and real != os.path.realpath(sys.executable):
-            found.setdefault(real, exe)
-    return list(found.values())
-
-
-def test_streamed_json_bytes_are_the_same_on_every_interpreter():
-    # json's indented generator took an int indent until CPython 3.13,
-    # which needs a str; with an int, 3.13 wrote half a document and a
-    # traceback
-    others = _other_interpreters()
-    if not others:
-        pytest.skip("no other python3.10 to python3.13 on PATH")
-    for argv in (("polys", "--m", "2", "--dmax", "3", "--format", "json"),
-                 ("permstats", "--m", "2", "--n", "3", "--format", "json")):
-        command, env = _cli_command(*argv)
-        want = subprocess.run(command, env=env, capture_output=True,
-                              timeout=60)
-        assert (want.returncode, want.stderr) == (0, b"")
-        for exe in others:
-            got = subprocess.run([exe, *command[1:]], env=env,
-                                 capture_output=True, timeout=60)
-            assert (got.returncode, got.stderr, got.stdout) == \
-                (0, b"", want.stdout), (exe, argv)
 
 
 class _Sink:

@@ -14,11 +14,10 @@ import charvar
 from charvar import combinatorics, fforacle
 from charvar.arith import is_prime
 from charvar.cli import main
-from charvar.combinatorics import (IdentityError, SizeGuardError,
-                                   _group_table, _orbits)
 from charvar.counting import abs_ind_counts, abs_irr_counts, orbit_counts
 from charvar.fforacle import (
-    OracleCensus, endomorphism_basis, gl_enumerate, gl_order, identity,
+    IdentityError, OracleCensus, SizeGuardError, _group_table, _orbits,
+    endomorphism_basis, gl_enumerate, gl_order, identity,
     is_absolutely_indecomposable, is_absolutely_irreducible, mat_inv, mat_mul,
     orbit_census,
 )
@@ -226,14 +225,14 @@ def test_census_state_is_linear_in_the_tuple_length():
 def test_census_checks_its_orbit_count_by_burnside(monkeypatch, capsys):
     # every split after the class list loses its last orbit, the top
     # key's too, so 5 of the 11 orbits of GL_2(F_2) (S_3) are swept
-    real = combinatorics._orbits
+    real = fforacle._orbits
     calls = []
 
     def lossy(rows):
         calls.append(len(rows))
         return real(rows) if len(calls) == 1 else real(rows)[:-1]
 
-    monkeypatch.setattr(combinatorics, "_orbits", lossy)
+    monkeypatch.setattr(fforacle, "_orbits", lossy)
     assert main(["oracle", "--d", "2", "--p", "2", "--m", "2"]) == 3
     out = capsys.readouterr()
     assert out.out == ""
@@ -452,14 +451,14 @@ def test_census_finds_orbits_once_per_stabiliser_level(monkeypatch):
     # 282251 orbits in 8 levels; a census visiting each orbit makes 57208
     # calls in each group (GL_2(F_2) is S_3), and one splitting every key
     # again on each level makes 28 at m = 8 and 796 at m = 200
-    real = combinatorics._orbits
+    real = fforacle._orbits
     calls = []
 
     def counted(rows):
         calls.append(len(rows))
         return real(rows)
 
-    monkeypatch.setattr(combinatorics, "_orbits", counted)
+    monkeypatch.setattr(fforacle, "_orbits", counted)
     census = combinatorics.perm_rep_census.__wrapped__
     for orbits in (lambda m: orbit_census(2, 2, m).orbits,
                    lambda m: census(3, m).orbit_count):

@@ -145,6 +145,15 @@ def test_src_imports_only_the_standard_library():
     assert foreign == []
 
 
+def test_fforacle_imports_only_arith_from_the_package():
+    # the brute-force oracle checks the series pipeline, so it loads none
+    # of it: its one package import is the integer helpers of arith
+    path = next(path for path in SOURCES if path.name == "fforacle.py")
+    relative = [node.module for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ImportFrom) and node.level > 0]
+    assert relative == ["arith"]
+
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
