@@ -17,20 +17,30 @@ the echelon span of A, and its stabiliser is the centraliser of A: each
 A is one key, split once, so each classification of A is made at most
 once, not once per orbit, and each extension of A at most once per coset.
 
-Matrices are flat tuples of length d*d with entries reduced mod p, row
-major.  Their one row reduction is the reduced echelon basis of
-_echelon_add: kernels, inverses, invertibility, algebra spans and the
-nilpotency chains of the locality test are read off it, and it is the
-census key.  All sizes are deliberately tiny; guards raise
-SizeGuardError before anything expensive starts, and an internal count
-that contradicts group theory raises IdentityError.
+A matrix, or a vector, is one non-negative int: entry k, in row-major
+order, sits in slot k, bits 8*w*k up to 8*w*(k + 1).  The slot width w
+is the fewest bytes that hold the largest sum the kernel forms before it
+reduces, (p - 1) + d*d*(p - 1)**2 for d-by-d matrices: one byte for
+every box the census admits at d >= 2.  So a matrix product is d
+big-int products, and a row operation v + c*row is one, each entry
+carried in its own slot.  Only _norm reduces mod p, every slot at once:
+bytes.translate through a 256-entry table when a slot is one byte, one
+pass over the slots otherwise.  Every matrix and vector the module
+returns has its entries in 0 .. p - 1, so equal matrices are equal ints,
+and gl_enumerate lists them in increasing order.
+
+The one row reduction is the reduced echelon basis of _echelon_add:
+kernels, inverses, invertibility, algebra spans and the nilpotency
+chains of the locality test are read off it, and it is the census key.
+All sizes are deliberately tiny; guards raise SizeGuardError before
+anything expensive starts, and an internal count that contradicts group
+theory raises IdentityError.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
-import operator
+import functools
 from collections import Counter
 from typing import Iterable, NamedTuple
 
@@ -72,34 +82,77 @@ def _exceeds(factors: Iterable[int], length: int, limit: int) -> bool:
     return length > limit
 
 
-def identity(d: int) -> tuple:
-    return tuple(1 if i == j else 0 for i in range(d) for j in range(d))
+class _Format(NamedTuple):
+    """The packing of d-by-d matrices over F_p, and the masks and shifts
+    that read it."""
+    p: int
+    bits: int           # 8 * slot width
+    mask: int           # one slot of ones
+    table: bytes        # byte i holds i % p when a slot is one byte, else b""
+    one: int            # the identity matrix
+    row_mask: int       # the slots of row 0
+    col_mask: int       # the slots of column 0
+    rows: tuple         # the shift of each row
+    cols: tuple         # the shift of each column
 
 
-def mat_mul(a: tuple, b: tuple, d: int, p: int) -> tuple:
-    """Product of two d-by-d matrices over F_p."""
-    cols = [b[j::d] for j in range(d)]
-    out = []
-    for i in range(0, d * d, d):
-        row = a[i:i + d]
-        for col in cols:
-            out.append(sum(map(operator.mul, row, col)) % p)
-    return tuple(out)
+@functools.lru_cache(maxsize=None)
+def _format(d: int, p: int) -> _Format:
+    """The format of d-by-d matrices over F_p.  Its slots hold the sums a
+    reduction by n <= d*d echelon rows forms, (p - 1) + n*(p - 1)**2, and
+    so the d*(p - 1)**2 of a product entry too."""
+    top = (p - 1) * (1 + d * d * (p - 1))
+    bits = 8 * max(1, (top.bit_length() + 7) // 8)
+    mask = (1 << bits) - 1
+    table = bytes(i % p for i in range(256)) if bits == 8 else b""
+    rows = tuple(bits * d * i for i in range(d))
+    cols = tuple(bits * j for j in range(d))
+    one = sum(1 << row + col for row, col in zip(rows, cols))
+    return _Format(p, bits, mask, table, one, (1 << bits * d) - 1,
+                   sum(mask << row for row in rows), rows, cols)
 
 
-def mat_inv(a: tuple, d: int, p: int) -> tuple:
+def _norm(x: int, fmt: _Format) -> int:
+    """Every slot of the packed x reduced mod p."""
+    if fmt.table:
+        return int.from_bytes(x.to_bytes((x.bit_length() + 7) >> 3, "little")
+                              .translate(fmt.table), "little")
+    width, p = fmt.bits >> 3, fmt.p
+    raw = x.to_bytes(-(-x.bit_length() // fmt.bits) * width, "little")
+    return int.from_bytes(b"".join(
+        (int.from_bytes(raw[i:i + width], "little") % p).to_bytes(
+            width, "little") for i in range(0, len(raw), width)), "little")
+
+
+def identity(d: int, p: int) -> int:
+    return _format(d, p).one
+
+
+def mat_mul(a: int, b: int, d: int, p: int) -> int:
+    """Product of two d-by-d matrices over F_p.  Column k of a, shifted to
+    column 0, times row k of b, shifted to row 0, holds a[i][k] * b[k][j]
+    in slot (i, j): the product is d big-int products and one _norm."""
+    fmt = _format(d, p)
+    col_mask, row_mask = fmt.col_mask, fmt.row_mask
+    return _norm(sum([((a >> col) & col_mask) * ((b >> row) & row_mask)
+                      for row, col in zip(fmt.rows, fmt.cols)]), fmt)
+
+
+def mat_inv(a: int, d: int, p: int) -> int:
     """Inverse of an invertible matrix over F_p, else ZeroDivisionError.
 
     The reduced rows of [A | I] are [I | A^-1] exactly when their pivots
     are the first d columns.
     """
-    one = identity(d)
+    fmt = _format(d, p)
+    half = fmt.bits * d         # slot d, where the right half starts
     basis = []
-    for i in range(0, d * d, d):
-        _echelon_add(basis, a[i:i + d] + one[i:i + d], p)
+    for row, col in zip(fmt.rows, fmt.cols):
+        _echelon_add(basis, ((a >> row) & fmt.row_mask) | (1 << half + col),
+                     fmt)
     if any(piv >= d for piv, _ in basis):
         raise ZeroDivisionError("matrix is singular")
-    return tuple(x for _, row in basis for x in row[d:])
+    return sum((vec >> half) << row for (_, vec), row in zip(basis, fmt.rows))
 
 
 def gl_order(d: int, p: int) -> int:
@@ -120,12 +173,16 @@ def gl_order(d: int, p: int) -> int:
 
 
 def gl_enumerate(d: int, p: int) -> list:
-    """All invertible d-by-d matrices over F_p, in lexicographic order."""
+    """All invertible d-by-d matrices over F_p, in increasing order."""
     n = gl_order(d, p)
-    rows = range(0, d * d, d)
+    fmt = _format(d, p)
+    mats = [0]
+    for _ in range(d * d):      # the last slot first, so in increasing order
+        mats = [x << fmt.bits | e for x in mats for e in range(p)]
     # a matrix is invertible exactly when its kernel is 0
-    out = [a for a in itertools.product(range(p), repeat=d * d)
-           if not _nullspace([a[i:i + d] for i in rows], d, p)]
+    out = [a for a in mats
+           if not _nullspace([(a >> row) & fmt.row_mask for row in fmt.rows],
+                             d, fmt)]
     if len(out) != n:
         raise IdentityError(f"found {len(out)} invertible matrices, "
                             f"expected {n}")
@@ -138,74 +195,82 @@ def _generators(d: int, p: int) -> list:
     The transvections generate SL_d(F_p) and the powers of the diagonal
     matrix reach every determinant, so together they generate GL_d(F_p).
     """
-    one = identity(d)
-    gens = [one[:pos] + (1,) + one[pos + 1:]
-            for pos in range(d * d) if pos // d != pos % d]
+    fmt = _format(d, p)
+    gens = [fmt.one + (1 << fmt.rows[i] + fmt.cols[j])
+            for i in range(d) for j in range(d) if i != j]
     if p > 2:
         orders = [(p - 1) // r for r, _ in factorize(p - 1)]
         w = next(a for a in range(2, p)
                  if all(pow(a, e, p) != 1 for e in orders))
-        gens.append((w,) + one[1:])
+        gens.append(fmt.one + w - 1)     # entry (0, 0) from 1 to w
     return gens
 
 
-def _echelon_add(basis: list, vec, p: int):
+def _echelon_add(basis: list, vec: int, fmt: _Format):
     """Reduce vec by the (pivot, row) basis; insert and return it if new.
 
     The basis is in reduced row echelon form: in pivot order, each row 1
     at its pivot and 0 at every other row's pivot.  So one pass in any
     order clears every pivot of vec, the new row is cleared from the
-    others, and a subspace has one basis whatever vectors built it.
+    others, and a subspace has one basis whatever vectors built it.  A
+    pivot is the lowest nonzero slot.
     """
-    v = _reduced(basis, vec, p)
-    piv = next((i for i, x in enumerate(v) if x), None)
-    if piv is None:
+    v = _reduced(basis, vec, fmt)
+    if not v:
         return None
-    inv = pow(v[piv], -1, p)
-    new = tuple([(x * inv) % p for x in v])
+    bits, mask, p = fmt.bits, fmt.mask, fmt.p
+    piv = ((v & -v).bit_length() - 1) // bits
+    shift = bits * piv
+    lead = (v >> shift) & mask
+    new = v if lead == 1 else _norm(v * pow(lead, -1, p), fmt)
     for i, (q, row) in enumerate(basis):
-        f = row[piv]
+        f = (row >> shift) & mask
         if f:
-            basis[i] = (q, tuple([(x - f * y) % p for x, y in zip(row, new)]))
+            basis[i] = (q, _norm(row + (p - f) * new, fmt))
     bisect.insort(basis, (piv, new))
     return new
 
 
-def _reduced(basis: list, vec, p: int) -> list:
+def _reduced(basis: list, vec: int, fmt: _Format) -> int:
     """vec less its part in the span of the reduced echelon basis: the
-    one vector of vec + span that is 0 at every pivot."""
-    v = list(vec)
+    one vector of vec + span that is 0 at every pivot.  Each row is 0 at
+    the other pivots, so its multiple is read off vec itself, and the
+    sum is reduced once."""
+    bits, mask, p = fmt.bits, fmt.mask, fmt.p
+    v = vec
     for piv, row in basis:
-        if v[piv]:
-            f = v[piv]
-            v = [(x - f * y) % p for x, y in zip(v, row)]
-    return v
+        f = (vec >> bits * piv) & mask
+        if f:
+            v += (p - f) * row
+    return v if v == vec else _norm(v, fmt)
 
 
-def _nullspace(rows, ncols: int, p: int) -> list:
+def _nullspace(rows, ncols: int, fmt: _Format) -> list:
     """Kernel basis of the rows: per free column, the vector with 1 there
     and 0 at the other free columns.  A reduced row is zero at the other
     pivots, so it sets its own pivot entry alone: -row[free]."""
     basis = []
     for row in rows:
-        _echelon_add(basis, row, p)
+        _echelon_add(basis, row, fmt)
+    bits, mask, p = fmt.bits, fmt.mask, fmt.p
     pivots = {piv for piv, _ in basis}
     out = []
     for free in range(ncols):
         if free in pivots:
             continue
-        v = [0] * ncols
-        v[free] = 1
+        v = 1 << bits * free
         for piv, row in basis:
-            v[piv] = -row[free] % p
-        out.append(tuple(v))
+            f = (row >> bits * free) & mask
+            if f:
+                v |= (p - f) << bits * piv
+        out.append(v)
     return out
 
 
 def is_absolutely_irreducible(mats, d: int, p: int) -> bool:
     """True when the tuple generates the full d*d matrix algebra, whose
     span _extend_span grows from the identity one entry at a time."""
-    span, gens = [(0, identity(d))], ()
+    span, gens = [(0, identity(d, p))], ()
     for y in mats:
         span = _extend_span(span, gens, y, d, p)
         gens += (y,)
@@ -213,19 +278,27 @@ def is_absolutely_irreducible(mats, d: int, p: int) -> bool:
 
 
 def endomorphism_basis(mats, d: int, p: int) -> list:
-    """Basis of the algebra of matrices commuting with every tuple entry."""
+    """Basis of the algebra of matrices commuting with every tuple entry.
+
+    Entry (i, j) of e*x - x*e is sum_b e[i][b]*x[b][j] less
+    sum_a x[i][a]*e[a][j], so its coefficients are column j of x laid in
+    row i less row i of x laid in column j; the transpose of x holds both
+    in place to be shifted there.
+    """
+    fmt = _format(d, p)
+    mask, row_mask, col_mask = fmt.mask, fmt.row_mask, fmt.col_mask
+    ps = p * (col_mask // mask)             # p in each slot of column 0
+    slots = [(fmt.rows[i] + fmt.cols[j], fmt.rows[j] + fmt.cols[i])
+             for i in range(d) for j in range(d)]      # (i, j) and (j, i)
     rows = []
     for x in mats:
-        for i in range(d):
-            for j in range(d):
-                row = [0] * (d * d)
-                # coefficient of e[a][b] in (e*x - x*e)[i][j]
-                for b in range(d):
-                    row[i * d + b] = (row[i * d + b] + x[b * d + j]) % p
-                for a in range(d):
-                    row[a * d + j] = (row[a * d + j] - x[i * d + a]) % p
-                rows.append(row)
-    return _nullspace(rows, d * d, p)
+        xt = sum(((x >> ij) & mask) << ji for ij, ji in slots)
+        cols_of_x = [(xt >> row) & row_mask for row in fmt.rows]
+        minus_rows_of_x = [ps - ((xt >> col) & col_mask) for col in fmt.cols]
+        for row, minus in zip(fmt.rows, minus_rows_of_x):
+            for col, column in zip(fmt.cols, cols_of_x):
+                rows.append(_norm((column << row) + (minus << col), fmt))
+    return _nullspace(rows, d * d, fmt)
 
 
 def is_absolutely_indecomposable(mats, d: int, p: int) -> bool:
@@ -246,11 +319,10 @@ def _local_split(basis: list, d: int, p: int) -> bool:
     Then I lies in E, as 1 does, so E = F_p*1 + I with I a nilpotent
     ideal; conversely the parts of a local E lie in its nilpotent radical.
     """
-    one = identity(d)
+    fmt = _format(d, p)
     parts = []
     for b in basis:
-        shifts = (tuple([(x - lam * e) % p for x, e in zip(b, one)])
-                  for lam in range(p))
+        shifts = (_norm(b + (p - lam) * fmt.one, fmt) for lam in range(p))
         part = next((n for n in shifts if _nilpotent((n,), d, p)), None)
         if part is None:
             return False
@@ -260,24 +332,27 @@ def _local_split(basis: list, d: int, p: int) -> bool:
 
 def _nilpotent(mats, d: int, p: int) -> bool:
     """True when the matrices generate a nilpotent algebra I: when the
-    chain V = F_p^d, I*V, I^2*V, ..., each step spanned by the images of
-    the last under every matrix, reaches 0.  It only shrinks, and a step
-    that does not shrink repeats forever."""
-    one = identity(d)
-    vecs = [one[i:i + d] for i in range(0, d * d, d)]
-    while vecs:
+    chain V = F_p^d, V*I, V*I^2, ..., each step spanned by the images of
+    the last under every matrix, reaches 0, since V*I^k = 0 exactly when
+    I^k = 0.  It only shrinks, and a step that does not shrink repeats
+    forever.  A step is the row space of a matrix, whose product with a
+    matrix spans the step's images under it."""
+    fmt = _format(d, p)
+    vecs, dim = fmt.one, d
+    while dim:
         span = []
         for x in mats:
-            for v in vecs:
-                _echelon_add(span, [sum(map(operator.mul, x[i:i + d], v)) % p
-                                    for i in range(0, d * d, d)], p)
-        if len(span) == len(vecs):
+            images = mat_mul(vecs, x, d, p)
+            for row in fmt.rows:
+                _echelon_add(span, (images >> row) & fmt.row_mask, fmt)
+        if len(span) == dim:
             return False
-        vecs = [row for _, row in span]
+        vecs = sum(vec << row for (_, vec), row in zip(span, fmt.rows))
+        dim = len(span)
     return True
 
 
-def _extend_span(span: list, mats: tuple, y: tuple, d: int, p: int) -> list:
+def _extend_span(span: list, mats: tuple, y: int, d: int, p: int) -> list:
     """Reduced echelon basis of the algebra generated by mats + (y,), from
     that of the algebra generated by mats.
 
@@ -287,13 +362,14 @@ def _extend_span(span: list, mats: tuple, y: tuple, d: int, p: int) -> list:
     """
     if len(span) == d * d:           # the full matrix algebra
         return span
+    fmt = _format(d, p)
     span = list(span)
     gens = mats + (y,)
     work = [(row, (y,)) for _, row in span]
     while work and len(span) < d * d:
         w, by = work.pop()
         for g in by:
-            row = _echelon_add(span, mat_mul(g, w, d, p), p)
+            row = _echelon_add(span, mat_mul(g, w, d, p), fmt)
             if row is not None:
                 work.append((row, gens))
     return span
@@ -315,7 +391,9 @@ def _orbits(rows: list) -> list:
 
 def _group_table(one, gens: list, mul, order: int):
     """(group, conj) of the group of the given order that gens generate:
-    group[0] is one, and conj[g][x] indexes group[g] x group[g]^-1.
+    group[0] is one, and conj[g][x] indexes group[g] x group[g]^-1.  A
+    product that is no group law, found as more than order elements or as
+    a generator whose powers miss one, raises IdentityError.
 
     A breadth-first pass of left multiplication by the generators lists
     the group, records each generator's left multiplication as an index
@@ -333,6 +411,9 @@ def _group_table(one, gens: list, mul, order: int):
             y = mul(gen, x)
             j = index.get(y)
             if j is None:
+                if len(group) == order:     # a product that is no group law
+                    raise IdentityError(f"generators reached more than "
+                                        f"{order} group elements")
                 j = index[y] = len(group)
                 group.append(y)
                 tree.append((s, h))
@@ -343,8 +424,13 @@ def _group_table(one, gens: list, mul, order: int):
     perms = []
     for row in left:
         inv, power = 0, row[0]       # s^-1 is the power just before one
-        while power:
+        for _ in range(order):       # the order of s divides the group's
+            if not power:
+                break
             inv, power = power, row[power]
+        else:
+            raise IdentityError(f"a generator's powers do not return to "
+                                f"one in {order} steps")
         right = [inv]
         for t, h in tree:
             right.append(left[t][right[h]])
@@ -428,15 +514,16 @@ def orbit_census(d: int, p: int, m: int) -> OracleCensus:
     # per echelon span of A, that span itself, interned so that the memo
     # below holds no equal copies, and the first prefix to generate A,
     # which has at most d*d - 1 entries since each one enlarged A
-    start = ((0, identity(d)),)
+    fmt = _format(d, p)
+    start = ((0, fmt.one),)
     prefixes = {start: (start, ())}
     # the span of A and y per (A, y modulo A), since A and y generate what
     # A and y + a do for every a in A
     grown_by = {}
 
     def extend(span, y):
-        rest = tuple(_reduced(span, y, p))
-        if not any(rest):
+        rest = _reduced(span, y, fmt)
+        if not rest:
             return span
         grown = grown_by.get((span, rest))
         if grown is None:
@@ -447,7 +534,7 @@ def orbit_census(d: int, p: int, m: int) -> OracleCensus:
         return grown
     leaves = Counter()
     for (span, _), count in _orbit_levels(
-            identity(d), _generators(d, p), lambda a, b: mat_mul(a, b, d, p),
+            fmt.one, _generators(d, p), lambda a, b: mat_mul(a, b, d, p),
             n, m, start, extend).items():
         leaves[span] += count
     orbits = abs_irr = abs_ind = 0

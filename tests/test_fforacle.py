@@ -1,6 +1,7 @@
 """Finite-field brute force, and its agreement with the series pipeline."""
 
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -22,16 +23,37 @@ from charvar.fforacle import (
     orbit_census,
 )
 
-I2 = (1, 0, 0, 1)
-JORDAN = (1, 1, 0, 1)       # unipotent, one Jordan block
-SWAP = (0, 1, 1, 0)
-ORDER3 = (0, 1, 1, 1)       # irreducible characteristic polynomial over F_2
+# 2x2 matrices over F_p, p <= 7, packed one byte an entry, entry 0 lowest
+I2 = 0x01_00_00_01
+JORDAN = 0x01_00_01_01      # unipotent, one Jordan block
+SWAP = 0x00_01_01_00
+ORDER3 = 0x01_01_01_00      # irreducible characteristic polynomial over F_2
+
+
+def _pack(entries, d, p):
+    """The int whose slot k, in the format of d-by-d matrices over F_p,
+    holds entries[k]: a matrix in row-major order, or a vector."""
+    bits = fforacle._format(d, p).bits
+    return sum(e << bits * k for k, e in enumerate(entries))
+
+
+def _unpack(x, n, d, p):
+    """The first n slots of x, in the format of d-by-d matrices over F_p."""
+    fmt = fforacle._format(d, p)
+    return tuple((x >> fmt.bits * k) & fmt.mask for k in range(n))
+
+
+def _schoolbook_mul(a, b, d, p):
+    """The matrix product entry by entry, on tuples."""
+    return tuple(sum(a[i * d + k] * b[k * d + j] for k in range(d)) % p
+                 for i in range(d) for j in range(d))
 
 
 def _mat_det(a, d, p):
     """Determinant mod p by Gaussian elimination, kept apart from the
     oracle's row reduction so that the locality reference shares none of
     its code."""
+    a = _unpack(a, d * d, d, p)
     m = [list(a[i * d:(i + 1) * d]) for i in range(d)]
     det = 1
     for c in range(d):
@@ -53,27 +75,27 @@ def _mat_det(a, d, p):
 
 def test_matrix_arithmetic():
     assert mat_mul(I2, SWAP, 2, 2) == SWAP
-    assert mat_mul(ORDER3, ORDER3, 2, 2) == (1, 1, 1, 0)
+    assert mat_mul(ORDER3, ORDER3, 2, 2) == 0x00_01_01_01
     assert mat_mul(mat_mul(ORDER3, ORDER3, 2, 2), ORDER3, 2, 2) == I2
     assert _mat_det(I2, 2, 5) == 1
-    assert _mat_det((2, 1, 3, 4), 2, 5) == 0    # 8 - 3 = 5
+    assert _mat_det(0x04_03_01_02, 2, 5) == 0   # 8 - 3 = 5
     assert mat_inv(SWAP, 2, 3) == SWAP
     with pytest.raises(ZeroDivisionError):
-        mat_inv((1, 1, 1, 1), 2, 2)
+        mat_inv(0x01_01_01_01, 2, 2)
 
 
 def test_det_multiplicative_and_inverse_roundtrip():
     rng = random.Random(20260819)
     p, d = 5, 3
     for _ in range(40):
-        a = tuple(rng.randrange(p) for _ in range(d * d))
-        b = tuple(rng.randrange(p) for _ in range(d * d))
+        a = _pack([rng.randrange(p) for _ in range(d * d)], d, p)
+        b = _pack([rng.randrange(p) for _ in range(d * d)], d, p)
         prod = mat_mul(a, b, d, p)
         assert _mat_det(prod, d, p) == (
             _mat_det(a, d, p) * _mat_det(b, d, p) % p)
         if _mat_det(a, d, p):
-            assert mat_mul(a, mat_inv(a, d, p), d, p) == identity(d)
-            assert mat_mul(mat_inv(a, d, p), a, d, p) == identity(d)
+            assert mat_mul(a, mat_inv(a, d, p), d, p) == identity(d, p)
+            assert mat_mul(mat_inv(a, d, p), a, d, p) == identity(d, p)
         else:
             with pytest.raises(ZeroDivisionError, match="matrix is singular"):
                 mat_inv(a, d, p)
@@ -91,7 +113,7 @@ def test_group_orders():
 
 def _gl_table(d, p):
     """The census's (group, conj) of GL_d(F_p)."""
-    return _group_table(identity(d), fforacle._generators(d, p),
+    return _group_table(identity(d, p), fforacle._generators(d, p),
                         lambda a, b: mat_mul(a, b, d, p), gl_order(d, p))
 
 
@@ -105,7 +127,7 @@ def test_conjugacy_classes():
     small = _classes(2, 2)
     assert sorted(size for _, size, _ in small) == [1, 2, 3]
     assert sorted(c for _, _, c in small) == [2, 3, 6]
-    assert [rep for rep, size, _ in small if size == 1] == [identity(2)]
+    assert [rep for rep, size, _ in small if size == 1] == [identity(2, 2)]
     bigger = _classes(2, 3)
     assert len(bigger) == 8
     assert sorted(c for _, _, c in bigger) == [4, 6, 6, 8, 8, 8, 48, 48]
@@ -122,7 +144,7 @@ def test_burnside_agrees_with_sweep():
 def _algebra_span(mats, d, p):
     """The span of the unital algebra the tuple generates, grown from the
     identity one entry at a time as the census grows it."""
-    span, gens = [(0, identity(d))], ()
+    span, gens = [(0, identity(d, p))], ()
     for y in mats:
         span = fforacle._extend_span(span, gens, y, d, p)
         gens += (y,)
@@ -142,11 +164,12 @@ def _word_span_dim(mats, d, p):
     """Dimension of the span of every word of length at most d*d in the
     tuple, by the Gauss-Jordan reference; the algebra's dimension grows
     with each word length until it stops, so d*d - 1 lengths suffice."""
-    words = level = {identity(d)}
+    words = level = {identity(d, p)}
     for _ in range(d * d):
         level = {mat_mul(x, w, d, p) for x in mats for w in level}
         words = words | level
-    return d * d - len(_nullspace_reference(sorted(words), d * d, p))
+    rows = [_unpack(w, d * d, d, p) for w in sorted(words)]
+    return d * d - len(_nullspace_reference(rows, d * d, p))
 
 
 def test_algebra_span_matches_word_reference():
@@ -245,10 +268,11 @@ def _subspace_local_split(basis, d, p):
     a linear subspace of codimension one.  It sweeps all p**k elements
     and uses no row reduction of the oracle's."""
     k = len(basis)
+    basis = [_unpack(b, d * d, d, p) for b in basis]
     nonunits = []
     for coeffs in itertools.product(range(p), repeat=k):
-        e = tuple(sum(c * b[i] for c, b in zip(coeffs, basis)) % p
-                  for i in range(d * d))
+        e = _pack([sum(c * b[i] for c, b in zip(coeffs, basis)) % p
+                   for i in range(d * d)], d, p)
         if _mat_det(e, d, p) == 0:
             nonunits.append(coeffs)
     rank = k - len(_nullspace_reference(nonunits, k, p))
@@ -266,8 +290,8 @@ def _random_tuple(rng, d, p, m=None):
         if i == j and shape == "unipotent":
             return 1
         return rng.randrange(p)
-    return tuple(tuple(entry(i, j) for i in range(d) for j in range(d))
-                 for _ in range(m or rng.randint(1, 2)))
+    return tuple(_pack([entry(i, j) for i in range(d) for j in range(d)],
+                       d, p) for _ in range(m or rng.randint(1, 2)))
 
 
 def test_local_split_count_matches_subspace_criterion():
@@ -313,29 +337,32 @@ def test_local_split_needs_the_parts_to_generate_a_nilpotent_algebra():
     # a basis of M_2(F_p) whose elements are each a scalar plus a nilpotent;
     # over F_2 these elements span only the matrices with equal diagonal
     for p in (3, 5, 7):
-        basis = [I2, (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, p - 1, p - 1)]
-        assert len(_nullspace_reference(basis, 4, p)) == 0
+        basis = [I2, 0x00_00_01_00, 0x00_01_00_00,
+                 (p - 1) * 0x01_01_00_00 + 0x01_01]
+        rows = [_unpack(b, 4, 2, p) for b in basis]
+        assert len(_nullspace_reference(rows, 4, p)) == 0
         assert not fforacle._local_split(basis, 2, p)
         assert not _subspace_local_split(basis, 2, p)
 
 
-def _jordan(d):
+def _jordan(d, p):
     """One unipotent Jordan block: ones on the diagonal and just above it."""
-    return tuple(int(j in (i, i + 1)) for i in range(d) for j in range(d))
+    return _pack([int(j in (i, i + 1)) for i in range(d) for j in range(d)],
+                 d, p)
 
 
 def test_local_split_on_algebras_too_big_to_sweep():
     # End(I_4) over F_2 has 2**16 elements and End(I_3) over F_3 3**9
     for d, p in [(4, 2), (3, 3)]:
-        basis = endomorphism_basis((identity(d),), d, p)
+        basis = endomorphism_basis((identity(d, p),), d, p)
         assert len(basis) == d * d
         assert not fforacle._local_split(basis, d, p)
     # the polynomials in one Jordan block form a local algebra
     for p in (2, 3):
-        basis = endomorphism_basis((_jordan(4),), 4, p)
+        basis = endomorphism_basis((_jordan(4, p),), 4, p)
         assert len(basis) == 4
         assert fforacle._local_split(basis, 4, p)
-        assert is_absolutely_indecomposable((_jordan(4),), 4, p)
+        assert is_absolutely_indecomposable((_jordan(4, p),), 4, p)
 
 
 def _rref_reference(rows, ncols, p):
@@ -364,9 +391,11 @@ def _rref_reference(rows, ncols, p):
 
 
 def _echelon_span(rows, p):
+    """The reduced echelon basis of rows of at most 9 entries, as packed
+    in the format of 3-by-3 matrices over F_p."""
     span = []
     for row in rows:
-        fforacle._echelon_add(span, row, p)
+        fforacle._echelon_add(span, _pack(row, 3, p), fforacle._format(3, p))
     return span
 
 
@@ -379,8 +408,9 @@ def test_rref_key_is_the_reduced_row_echelon_form():
             for _ in range(20):
                 rows = _random_rows(rng, rng.randrange(ncols + 2), ncols, p)
                 red, pivots = _rref_reference(rows, ncols, p)
-                assert _echelon_span(rows, p) == list(
-                    zip(pivots, map(tuple, red))), rows
+                assert _echelon_span(rows, p) == [
+                    (piv, _pack(row, 3, p)) for piv, row in zip(pivots, red)
+                ], rows
 
 
 def test_rref_key_does_not_depend_on_the_basis():
@@ -485,7 +515,7 @@ def _nullspace_reference(rows, ncols, p):
 
 
 def _mat_inv_reference(a, d, p):
-    one = identity(d)
+    one = tuple(int(i == j) for i in range(d) for j in range(d))
     rows, pivots = _rref_reference(
         [a[i * d:(i + 1) * d] + one[i * d:(i + 1) * d] for i in range(d)],
         d, p)
@@ -525,7 +555,10 @@ def test_nullspace_matches_gauss_jordan_reference():
                 for _ in range(3):
                     rows = _random_rows(rng, nrows, ncols, p)
                     want = _nullspace_reference(rows, ncols, p)
-                    assert fforacle._nullspace(rows, ncols, p) == want, rows
+                    packed = [_pack(row, 3, p) for row in rows]
+                    assert fforacle._nullspace(
+                        packed, ncols, fforacle._format(3, p)) == [
+                        _pack(v, 3, p) for v in want], rows
                     rank = ncols - len(want)
                     full += rank == min(nrows, ncols)
                     deficient += rank < min(nrows, ncols)
@@ -545,21 +578,96 @@ def test_mat_inv_matches_gauss_jordan_reference():
         except ZeroDivisionError:
             singular += 1
             with pytest.raises(ZeroDivisionError, match="matrix is singular"):
-                mat_inv(a, d, p)
+                mat_inv(_pack(a, d, p), d, p)
         else:
-            assert mat_inv(a, d, p) == want, (a, d, p)
+            assert mat_inv(_pack(a, d, p), d, p) == _pack(want, d, p), (
+                a, d, p)
     # 81 - 48 singular 2x2 over F_3, two fixed 3x3, some random ones
     assert singular > 33 + 2, singular
 
 
+def test_kernel_matches_tuple_references_on_slots_wider_than_a_byte():
+    # one byte a slot at every d >= 2 the census admits; 2 and 3 bytes
+    # where (p - 1) + d*d*(p - 1)**2 passes 255
+    widths = {(d, p): fforacle._format(d, p).bits // 8 for d, p in
+              [(2, 2), (2, 3), (2, 5), (3, 2), (2, 7), (1, 13), (1, 17),
+               (1, 101), (1, 257), (2, 11), (2, 13), (2, 17)]}
+    assert widths == {**dict.fromkeys(
+        [(2, 2), (2, 3), (2, 5), (3, 2), (2, 7), (1, 13)], 1),
+        (1, 17): 2, (1, 101): 2, (1, 257): 3, (2, 11): 2, (2, 13): 2,
+        (2, 17): 2}
+    rng = random.Random(20261101)
+    for d, p in [(1, 101), (1, 257), (2, 11), (2, 13), (2, 17)]:
+        n = d * d
+        cases = [(p - 1,) * n] + [tuple(rng.randrange(p) for _ in range(n))
+                                  for _ in range(60)]
+        for a, b in zip(cases, cases[::-1]):
+            assert mat_mul(_pack(a, d, p), _pack(b, d, p), d, p) == _pack(
+                _schoolbook_mul(a, b, d, p), d, p), (a, b, p)
+            try:
+                want = _pack(_mat_inv_reference(a, d, p), d, p)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    mat_inv(_pack(a, d, p), d, p)
+            else:
+                assert mat_inv(_pack(a, d, p), d, p) == want, (a, p)
+        # the last row is the sum of the others, so it reduces to 0, through
+        # (1 - n) % p + (n - 1)*(p - 1)**2 in slot n - 1
+        extreme = [[int(j == k) for j in range(n - 1)] + [p - 1]
+                   for k in range(n - 1)] + [[1] * (n - 1) + [(1 - n) % p]]
+        for rows in [extreme] + [_random_rows(rng, rng.randrange(n + 2), n, p)
+                                 for _ in range(40)]:
+            assert fforacle._nullspace(
+                [_pack(row, d, p) for row in rows], n,
+                fforacle._format(d, p)) == [
+                _pack(v, d, p) for v in _nullspace_reference(rows, n, p)]
+    _census_matches_polynomial_counts([(1, 101, 2)], {})
+
+
+def _endomorphism_rows_reference(mats, d, p):
+    """The linear system e*x = x*e of each tuple entry x, one row per
+    entry (i, j) of e*x - x*e, built entry by entry on tuples."""
+    rows = []
+    for x in mats:
+        x = _unpack(x, d * d, d, p)
+        for i in range(d):
+            for j in range(d):
+                row = [0] * (d * d)
+                for b in range(d):
+                    row[i * d + b] = (row[i * d + b] + x[b * d + j]) % p
+                for a in range(d):
+                    row[a * d + j] = (row[a * d + j] - x[i * d + a]) % p
+                rows.append(row)
+    return rows
+
+
+def test_endomorphism_basis_matches_tuple_reference():
+    # the packed rows, read off the transpose, against rows built entry by
+    # entry, over one-byte and two-byte slots
+    rng = random.Random(20261102)
+    for p in (2, 3, 5, 11):
+        for d in (1, 2, 3):
+            for _ in range(20):
+                mats = _random_tuple(rng, d, p)
+                want = _nullspace_reference(
+                    _endomorphism_rows_reference(mats, d, p), d * d, p)
+                assert endomorphism_basis(mats, d, p) == [
+                    _pack(v, d, p) for v in want], (mats, d, p)
+
+
 def test_endomorphism_basis_matches_gauss_jordan_reference(monkeypatch):
-    # endomorphism_basis builds its rows as before; only the kernel changed
+    # the kernel of endomorphism_basis's rows is the Gauss-Jordan one
     rng = random.Random(20261019)
     cases = [(_random_tuple(rng, d, p) + _random_tuple(rng, d, p)[
         :rng.randint(0, 1)], d, p) for p in (2, 3, 5) for d in (1, 2, 3)
         for _ in range(30)]
     got = [endomorphism_basis(mats, d, p) for mats, d, p in cases]
-    monkeypatch.setattr(fforacle, "_nullspace", _nullspace_reference)
+
+    def reference(rows, ncols, fmt):
+        d = math.isqrt(ncols)       # the rows are over d-by-d matrices
+        return [_pack(v, d, fmt.p) for v in _nullspace_reference(
+            [_unpack(row, ncols, d, fmt.p) for row in rows], ncols, fmt.p)]
+    monkeypatch.setattr(fforacle, "_nullspace", reference)
     assert got == [endomorphism_basis(mats, d, p) for mats, d, p in cases]
     assert {len(mats) for mats, _, _ in cases} == {1, 2, 3}
 
@@ -629,7 +737,7 @@ def test_conjugation_table_matches_direct_products():
     assert fforacle._generators(1, 2) == []
     for d, p, rows in [(1, 2, None), (2, 3, None), (3, 2, 20)]:
         group, conj = _gl_table(d, p)
-        assert group[0] == identity(d)
+        assert group[0] == identity(d, p)
         assert sorted(group) == gl_enumerate(d, p)
         indices = range(len(group)) if rows is None else rng.sample(
             range(len(group)), rows)
@@ -642,7 +750,7 @@ def test_conjugation_table_matches_direct_products():
 def test_group_table_makes_one_product_per_element_and_generator():
     s4 = (tuple(range(4)), [(1, 0, 2, 3), (1, 2, 3, 0)],
           lambda a, b: tuple(map(a.__getitem__, b)), 24)
-    gl32 = (identity(3), fforacle._generators(3, 2),
+    gl32 = (identity(3, 2), fforacle._generators(3, 2),
             lambda a, b: mat_mul(a, b, 3, 2), 168)
     for one, gens, mul, order in (s4, gl32):
         calls = []
@@ -653,6 +761,19 @@ def test_group_table_makes_one_product_per_element_and_generator():
         group, _ = _group_table(one, gens, counted, order)
         assert len(group) == order
         assert len(calls) == order * len(gens)
+
+
+def test_group_table_refuses_a_product_that_is_no_group_law(monkeypatch):
+    # the integers under addition: the pass would never close
+    with pytest.raises(IdentityError, match="more than 5 group elements"):
+        _group_table(0, [1], lambda a, b: a + b, 5)
+    # the pass closes on {0, 1}, but 1 times 1 is 1, never 0 again
+    with pytest.raises(IdentityError, match="do not return to one in 2 steps"):
+        _group_table(0, [1], lambda a, b: min(a + b, 1), 2)
+    # products never reduced mod p grow past GL_2(F_3)
+    monkeypatch.setattr(fforacle, "_norm", lambda x, fmt: x)
+    with pytest.raises(IdentityError, match="more than 48 group elements"):
+        orbit_census(2, 3, 1)
 
 
 def test_census_does_not_enumerate_the_matrices(monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 
 import charvar
 
-from charvar import verify
+from charvar import fforacle, verify
 from charvar.cli import main
 from charvar.combinatorics import IdentityError, SizeGuardError
 from charvar.verify import (CheckResult, all_passed, rank_two_closed_forms,
@@ -184,6 +184,9 @@ FAULTS = [
     ("finite field oracle p=2", "orbit_census",
      lambda real: lambda d, p, m: (c := real(d, p, m))._replace(
          abs_ind=c.abs_ind + 1)),
+    ("finite field oracle p=3", "orbit_census",
+     lambda real: lambda d, p, m: (c := real(d, p, m))._replace(
+         abs_ind=c.abs_ind + (p == 3))),
 ]
 
 
@@ -192,8 +195,33 @@ FAULTS = [
 def test_each_item_fails_on_a_perturbed_callee(capsys, monkeypatch, name,
                                                callee, perturb):
     monkeypatch.setattr(verify, callee, perturb(getattr(verify, callee)))
-    checks = run_verification(2, dmax=2, primes=(2,))
+    checks = run_verification(2, dmax=2, primes=(2, 3))
     (item,) = [c for c in checks if c.name == name]
     assert item.passed is False and item.skipped is False
-    assert main(["verify", "--m", "2", "--dmax", "2", "--primes", "2"]) == 3
+    assert main(["verify", "--m", "2", "--dmax", "2", "--primes", "2,3"]) == 3
     assert f"[FAIL] {name}: " in capsys.readouterr().out
+
+
+def _mat_mul_without_last_term(a, b, d, p):
+    """fforacle.mat_mul less the k = d - 1 term of every entry's sum."""
+    fmt = fforacle._format(d, p)
+    return fforacle._norm(sum(
+        ((a >> col) & fmt.col_mask) * ((b >> row) & fmt.row_mask)
+        for row, col in zip(fmt.rows[:-1], fmt.cols[:-1])), fmt)
+
+
+def test_oracle_items_fail_on_a_kernel_that_drops_a_term(capsys,
+                                                         monkeypatch):
+    # at d = 1 the product is 0: GL_1(F_3) closes on {1, 0}, whose
+    # generator never returns to one, and at d = 2 the pass over GL_2(F_2)
+    # finds no group of order 6
+    monkeypatch.setattr(fforacle, "mat_mul", _mat_mul_without_last_term)
+    checks = run_verification(2, dmax=2, primes=(2, 3))
+    oracle = [c for c in checks if c.name.startswith("finite field oracle")]
+    assert [(c.name, c.passed, c.skipped) for c in oracle] == [
+        ("finite field oracle p=2", False, False),
+        ("finite field oracle p=3", False, False)]
+    assert main(["verify", "--m", "2", "--dmax", "2", "--primes", "2,3"]) == 3
+    out = capsys.readouterr().out
+    assert "[FAIL] finite field oracle p=2: " in out
+    assert "[FAIL] finite field oracle p=3: " in out
