@@ -9,11 +9,12 @@ power-series kernel with plethystic exponentials, and cross-checked by
 brute-force enumeration over small finite fields and symmetric groups.
 """
 
-from .arith import divisors, factorize, is_prime, mobius, partitions, totient
+from .arith import (IdentityError, SizeGuardError, divisors, factorize,
+                    is_prime, mobius, partitions, totient)
 from .combinatorics import (
-    CensusRow, census_series_checks, connected_tuples, connected_weight_poly,
+    census_series_checks, connected_tuples, connected_weight_poly,
     connected_weight_series, hall_subgroup_counts, inversions,
-    limit_transform, perm_rep_census, q_factorial, subgroup_counts,
+    limit_transform, q_factorial, subgroup_counts,
 )
 from .counting import (
     CharVarTable, IntegralityError, TableRow,
@@ -23,8 +24,8 @@ from .counting import (
     rep_counts, rep_series, s_positive, uv_str,
 )
 from .fforacle import (
-    IdentityError, OracleCensus, SizeGuardError, gl_enumerate, gl_order,
-    is_absolutely_indecomposable, is_absolutely_irreducible, orbit_census,
+    CensusRow, OracleCensus, gl_enumerate, gl_order, orbit_census,
+    is_absolutely_indecomposable, is_absolutely_irreducible, perm_rep_census,
 )
 from .plethystic import Exp, Log, Pow, irreducible_poly_count, pow_product
 from .qpoly import (

@@ -1,4 +1,5 @@
-"""Small number-theoretic helpers and partition generation.
+"""Small number-theoretic helpers, partition generation, and the errors
+that every layer's size guards and identity checks raise.
 
 Everything here works on arguments bounded by a series truncation order or
 a matrix size, so plain trial division is enough; no sieves.
@@ -7,7 +8,38 @@ a matrix size, so plain trial division is enough; no sieves.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, Tuple
+from typing import Iterable, Iterator, Tuple
+
+
+class SizeGuardError(RuntimeError):
+    """A brute-force enumeration would exceed its size budget."""
+
+
+class IdentityError(ArithmeticError):
+    """A brute-force computation contradicted an identity it must satisfy."""
+
+
+def _require(holds: bool, message: str = "identity violated") -> None:
+    # an explicit raise, unlike assert, survives python -O
+    if not holds:
+        raise IdentityError(message)
+
+
+def _exceeds(factors: Iterable[int], length: int, limit: int) -> bool:
+    """prod(factors)**length > limit or length > limit, for length >= 1,
+    without building either number: factors are multiplied in one at a
+    time up to the first partial product past the limit."""
+    base = 1
+    for f in factors:
+        base *= f
+        if base > limit:
+            return True
+    power = 1
+    for _ in range(length if base > 1 else 0):   # 1**length never passes
+        power *= base
+        if power > limit:
+            return True
+    return length > limit
 
 
 def factorize(n: int) -> list:

@@ -34,7 +34,8 @@ from .combinatorics import (connected_tuples, inversions, subgroup_counts,
                             weight_poly)
 from .counting import (TableRow, build_table, default_dmax, e_polynomial,
                        uv_str)
-from .fforacle import SizeGuardError, orbit_census
+from .arith import SizeGuardError
+from .fforacle import orbit_census
 from .qpoly import poly_str
 from .verify import all_passed, run_verification
 
@@ -184,7 +185,8 @@ def cmd_polys(args) -> tuple:
 
 def cmd_verify(args) -> tuple:
     try:
-        primes = tuple(int(p) for p in args.primes.split(",") if p.strip())
+        primes = tuple(dict.fromkeys(
+            int(p) for p in args.primes.split(",") if p.strip()))
     except ValueError:
         raise ValueError("--primes takes comma-separated integers, "
                          f"got {args.primes!r}") from None

@@ -10,13 +10,13 @@ Three strands, all exact:
     from the logarithm of sum_n (n!)^(m-1) x^n and from the classical
     recursion (Hall), plus the exact q -> 1 limit transform that recovers
     them from the absolutely irreducible matrix counts;
-  * the census of m-tuples of permutations up to simultaneous conjugation,
-    i.e. degree-n actions of the free group: orbit counts, transitive
-    classes, and automorphism weights, cross-checked against the subgroup
-    counts and two exponential identities.
+  * the exponential identities and subgroup counts that the census of
+    m-tuples of permutations up to simultaneous conjugation (degree-n
+    actions of the free group) must satisfy: orbit counts, transitive
+    classes, and automorphism weights.
 
-The census counts its orbits with fforacle._orbit_levels, the engine of
-the matrix census fforacle.orbit_census; the guards' errors live there too.
+The census itself is fforacle.perm_rep_census, which runs on the same
+engine as the matrix census fforacle.orbit_census.
 """
 
 from __future__ import annotations
@@ -26,11 +26,11 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
-from typing import Iterable, List, NamedTuple, Tuple
+from typing import Iterable, List, Tuple
 
-from .arith import divisors
-from .counting import abs_irr_counts
-from .fforacle import IdentityError, SizeGuardError, _exceeds, _orbit_levels
+from .arith import SizeGuardError, _exceeds, divisors
+from .counting import IntegralityError, abs_irr_counts
+from .fforacle import perm_rep_census
 from .plethystic import Exp, series_exp, series_log
 from .qpoly import QPoly, ONE, ZERO, _dot, limit_at_1, q
 from .tseries import TSeries
@@ -137,7 +137,7 @@ def subgroup_counts(m: int, nmax: int) -> List[int]:
         c = lg.coeff(n)
         val = Fraction(c.constant) * n
         if c.degree > 0 or val.denominator != 1:
-            raise ArithmeticError(f"subgroup count J_{n} came out non-integral")
+            raise IntegralityError(f"subgroup count J_{n} came out non-integral")
         out.append(int(val))
     return out
 
@@ -185,65 +185,7 @@ def limit_transform(m: int, nmax: int) -> List[Fraction]:
     return out
 
 
-# -- the census of symmetric-group representations ------------------------------
-
-
-class CensusRow(NamedTuple):
-    n: int
-    m: int
-    total: int               # all tuples: (n!)^m
-    orbit_count: int          # conjugation orbits
-    transitive_count: int     # orbits acting transitively
-    aut_weight: Fraction      # sum over transitive orbits of 1/|Aut|
-    aut_weight_all: Fraction  # same sum over all orbits; equals (n!)^(m-1)
-
-
-def _join(blocks: Perm, perm: Perm) -> Perm:
-    """Orbit labels once perm joins the group: blocks[x] labels x by the
-    least point of its orbit, and merging the blocks of each x and
-    perm[x] under the lesser label keeps every label least."""
-    label = list(blocks)
-    for x, y in enumerate(perm):
-        a, b = sorted((label[x], label[y]))
-        label = [a if c == b else c for c in label]
-    return tuple(label)
-
-
-@lru_cache(maxsize=None)
-def perm_rep_census(n: int, m: int) -> CensusRow:
-    """Brute-force census of S_n^m up to simultaneous conjugation, by
-    _orbit_levels over S_n generated by a transposition and an n-cycle.
-    A tuple's state is its orbit labels, so it is transitive when every
-    label is 0, and |Aut| of its orbit is its stabiliser's order."""
-    if n < 1 or m < 1:
-        raise ValueError("need n >= 1 and m >= 1")
-    # m levels over the (n!)**2 table, though each key is split once; the
-    # table alone passes the limit from n = 7 on, so n > 10 is refused
-    # without building n!
-    if n > 10 or m * factorial(n) ** 2 > 4_000_000:
-        raise SizeGuardError(f"census of S_{n}^{m} is too large")
-    order = factorial(n)
-    total = order ** m
-    gens = [(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)]
-    kinds = Counter()
-    for (blocks, stabiliser), count in _orbit_levels(
-            tuple(range(n)), gens if n > 1 else [],
-            lambda a, b: tuple(map(a.__getitem__, b)), order, m,
-            tuple(range(n)), _join).items():
-        kinds[not any(blocks), len(stabiliser)] += count
-    orbit_count = transitive_count = 0
-    aut_weight = aut_weight_all = Fraction(0)
-    for (transitive, aut), count in kinds.items():
-        orbit_count += count
-        aut_weight_all += Fraction(count, aut)
-        if transitive:
-            transitive_count += count
-            aut_weight += Fraction(count, aut)
-    if aut_weight_all != Fraction(total, order):
-        raise IdentityError("identity violated")
-    return CensusRow(n=n, m=m, total=total, orbit_count=orbit_count,
-                     transitive_count=transitive_count, aut_weight=aut_weight,
-                     aut_weight_all=aut_weight_all)
+# -- identities of the symmetric-group census -----------------------------------
 
 
 def census_series_checks(nmax: int, m: int) -> dict:

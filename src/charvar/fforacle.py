@@ -1,21 +1,22 @@
-"""Brute-force verification over small finite fields.
+"""Brute-force censuses over small finite fields and symmetric groups.
 
 Everything here recomputes, by direct enumeration, quantities that the
-series pipeline produces symbolically: conjugation orbits of m-tuples of
-invertible matrices over F_p, and the subsets of those orbits that are
-absolutely irreducible or absolutely indecomposable.  Matching the two
-routes at several primes is strong evidence that the symbolic counts are
-polynomials in q evaluated correctly.
+series pipeline produces symbolically.  orbit_census counts conjugation
+orbits of m-tuples of invertible matrices over F_p, and those absolutely
+irreducible or absolutely indecomposable; matching it at several primes
+is strong evidence that the symbolic counts are polynomials in q
+evaluated correctly.  perm_rep_census counts m-tuples of permutations up
+to conjugation, with the weights combinatorics checks against subgroups.
 
-The census is the level-by-level stabiliser-chain count _orbit_levels
-over the conjugation table that _group_table builds from generators of
-GL_d(F_p), so it sweeps no p**(d*d) matrices; the S_n census of
-combinatorics runs on it too.  This module imports only arith, so the
-oracle loads none of the series pipeline it checks.  A prefix is
-classified by the unital algebra A it generates alone, so its state is
-the echelon span of A, and its stabiliser is the centraliser of A: each
-A is one key, split once, so each classification of A is made at most
-once, not once per orbit, and each extension of A at most once per coset.
+Both are the level-by-level stabiliser-chain count _orbit_levels over the
+conjugation table that _group_table builds from generators of GL_d(F_p)
+or S_n, so neither sweeps the tuples, and only they read its (state,
+stabiliser) keys.  This module imports only arith, so the oracle loads
+none of the series pipeline it checks.  A matrix prefix is classified
+by the unital algebra A it generates alone, so its state is the echelon
+span of A, and its stabiliser is the centraliser of A: each A is one key,
+split once, so each classification of A is made at most once, not once
+per orbit, and each extension of A at most once per coset.
 
 A matrix, or a vector, is one non-negative int: entry k, in row-major
 order, sits in slot k, bits 8*w*k up to 8*w*(k + 1).  The slot width w
@@ -42,44 +43,23 @@ from __future__ import annotations
 import bisect
 import functools
 from collections import Counter
-from typing import Iterable, NamedTuple
+from fractions import Fraction
+from math import factorial
+from typing import NamedTuple
 
-from .arith import factorize, is_prime
+from .arith import (IdentityError, SizeGuardError, _exceeds, _require,
+                    factorize, is_prime)
 
 __all__ = [
-    "IdentityError", "OracleCensus", "SizeGuardError", "endomorphism_basis",
-    "gl_enumerate", "gl_order", "identity", "is_absolutely_indecomposable",
+    "CensusRow", "OracleCensus", "endomorphism_basis", "gl_enumerate",
+    "gl_order", "identity", "is_absolutely_indecomposable",
     "is_absolutely_irreducible", "mat_inv", "mat_mul", "orbit_census",
+    "perm_rep_census",
 ]
 
 # gl_order and gl_enumerate admit p**(d*d); the census m * |GL_d(F_p)|**2
 _ENUM_LIMIT = 100_000
 _CENSUS_LIMIT = 400_000
-
-
-class SizeGuardError(RuntimeError):
-    """A brute-force enumeration would exceed its size budget."""
-
-
-class IdentityError(ArithmeticError):
-    """A brute-force computation contradicted an identity it must satisfy."""
-
-
-def _exceeds(factors: Iterable[int], length: int, limit: int) -> bool:
-    """prod(factors)**length > limit or length > limit, for length >= 1,
-    without building either number: factors are multiplied in one at a
-    time up to the first partial product past the limit."""
-    base = 1
-    for f in factors:
-        base *= f
-        if base > limit:
-            return True
-    power = 1
-    for _ in range(length if base > 1 else 0):   # 1**length never passes
-        power *= base
-        if power > limit:
-            return True
-    return length > limit
 
 
 class _Format(NamedTuple):
@@ -183,9 +163,8 @@ def gl_enumerate(d: int, p: int) -> list:
     out = [a for a in mats
            if not _nullspace([(a >> row) & fmt.row_mask for row in fmt.rows],
                              d, fmt)]
-    if len(out) != n:
-        raise IdentityError(f"found {len(out)} invertible matrices, "
-                            f"expected {n}")
+    _require(len(out) == n,
+             f"found {len(out)} invertible matrices, expected {n}")
     return out
 
 
@@ -384,8 +363,8 @@ def _orbits(rows: list) -> list:
             orbit = {row[x] for row in rows}
             seen |= orbit
             out.append((x, len(orbit)))
-    if sum(size for _, size in out) != len(rows[0]):
-        raise IdentityError("orbit sizes do not add up to the group order")
+    _require(sum(size for _, size in out) == len(rows[0]),
+             "orbit sizes do not add up to the group order")
     return out
 
 
@@ -418,9 +397,8 @@ def _group_table(one, gens: list, mul, order: int):
                 group.append(y)
                 tree.append((s, h))
             left[s].append(j)
-    if len(group) != order:
-        raise IdentityError(f"generators reached {len(group)} of "
-                            f"{order} group elements")
+    _require(len(group) == order,
+             f"generators reached {len(group)} of {order} group elements")
     perms = []
     for row in left:
         inv, power = 0, row[0]       # s^-1 is the power just before one
@@ -476,8 +454,8 @@ def _orbit_levels(one, gens: list, mul, order: int, m: int, start,
         level = below
     orbits = sum(level.values())
     burnside = sum((order // size) ** (m - 1) for _, size in classes)
-    if orbits != burnside:
-        raise IdentityError(f"swept {orbits} orbits, Burnside: {burnside}")
+    _require(orbits == burnside,
+             f"swept {orbits} orbits, Burnside: {burnside}")
     return level
 
 
@@ -543,11 +521,67 @@ def orbit_census(d: int, p: int, m: int) -> OracleCensus:
         irr = len(span) == d * d
         ind = is_absolutely_indecomposable(gens, d, p)
         # irreducible forces indecomposable; anything else is a bug
-        if irr and not ind:
-            raise IdentityError(f"an absolutely irreducible {m}-tuple "
-                                f"in GL_{d}(F_{p}) is decomposable")
+        _require(ind or not irr, f"an absolutely irreducible {m}-tuple "
+                                 f"in GL_{d}(F_{p}) is decomposable")
         orbits += count
         abs_irr += irr * count
         abs_ind += ind * count
     return OracleCensus(d=d, p=p, m=m, group_order=n, orbits=orbits,
                         abs_irr=abs_irr, abs_ind=abs_ind)
+
+
+class CensusRow(NamedTuple):
+    n: int
+    m: int
+    total: int               # all tuples: (n!)^m
+    orbit_count: int          # conjugation orbits
+    transitive_count: int     # orbits acting transitively
+    aut_weight: Fraction      # sum over transitive orbits of 1/|Aut|
+    aut_weight_all: Fraction  # same sum over all orbits; equals (n!)^(m-1)
+
+
+def _join(blocks: tuple, perm: tuple) -> tuple:
+    """Orbit labels once perm joins the group: blocks[x] labels x by the
+    least point of its orbit, and merging the blocks of each x and
+    perm[x] under the lesser label keeps every label least."""
+    label = list(blocks)
+    for x, y in enumerate(perm):
+        a, b = sorted((label[x], label[y]))
+        label = [a if c == b else c for c in label]
+    return tuple(label)
+
+
+def perm_rep_census(n: int, m: int) -> CensusRow:
+    """Brute-force census of S_n^m up to simultaneous conjugation, by
+    _orbit_levels over S_n generated by a transposition and an n-cycle.
+    A tuple's state is its orbit labels, so it is transitive when every
+    label is 0, and |Aut| of its orbit is its stabiliser's order."""
+    if n < 1 or m < 1:
+        raise ValueError("need n >= 1 and m >= 1")
+    # m levels over the (n!)**2 table, though each key is split once; the
+    # table alone passes the limit from n = 7 on, so n > 10 is refused
+    # without building n!
+    if n > 10 or m * factorial(n) ** 2 > 4_000_000:
+        raise SizeGuardError(f"census of S_{n}^{m} is too large")
+    order = factorial(n)
+    total = order ** m
+    gens = [(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)]
+    kinds = Counter()
+    for (blocks, stabiliser), count in _orbit_levels(
+            tuple(range(n)), gens if n > 1 else [],
+            lambda a, b: tuple(map(a.__getitem__, b)), order, m,
+            tuple(range(n)), _join).items():
+        kinds[not any(blocks), len(stabiliser)] += count
+    orbit_count = transitive_count = 0
+    aut_weight = aut_weight_all = Fraction(0)
+    for (transitive, aut), count in kinds.items():
+        orbit_count += count
+        aut_weight_all += Fraction(count, aut)
+        if transitive:
+            transitive_count += count
+            aut_weight += Fraction(count, aut)
+    _require(aut_weight_all == total // order, f"weights 1/|Aut| sum to "
+             f"{aut_weight_all}, not to (n!)**(m-1) = {total // order}")
+    return CensusRow(n=n, m=m, total=total, orbit_count=orbit_count,
+                     transitive_count=transitive_count, aut_weight=aut_weight,
+                     aut_weight_all=aut_weight_all)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import factorial
 from typing import NamedTuple
 
-from .arith import divisors, mobius, totient
+from .arith import SizeGuardError, _exceeds, _require, divisors, mobius, totient
 from .combinatorics import (
     census_series_checks, connected_weight_poly, connected_weight_series,
     hall_subgroup_counts, limit_transform, subgroup_counts,
@@ -24,8 +24,7 @@ from .counting import (
     class_weight_series, default_dmax, e_polynomial, euler_characteristics,
     orbit_counts, orbit_series, rep_counts, rep_series, s_positive,
 )
-from .fforacle import (IdentityError, SizeGuardError, _exceeds, gl_order,
-                       orbit_census)
+from .fforacle import gl_order, orbit_census
 from .plethystic import Exp, Log, irreducible_poly_count, pow_product, Pow
 from .qpoly import ONE, QPoly, q
 from .tseries import TSeries
@@ -46,12 +45,6 @@ class CheckResult(NamedTuple):
 def all_passed(checks) -> bool:
     """True when no item failed; skipped items do not fail."""
     return all(c.passed or c.skipped for c in checks)
-
-
-def _require(holds: bool, message: str = "identity violated") -> None:
-    # an explicit raise, unlike assert, survives python -O
-    if not holds:
-        raise IdentityError(message)
 
 
 def rank_two_closed_forms(m: int) -> dict:
@@ -257,14 +250,10 @@ def run_verification(m: int, dmax: int = None, primes=(2, 3)) -> list:
         ("integrality", _check_integrality),
         ("s-positivity", _check_s_positivity),
     ]
-    checks = []
-    for name, fn in items:
-        checks.append(_run(name, fn, m, dmax))
-    for p in primes:
-        checks.append(_run(f"finite field oracle p={p}",
-                           lambda m, dmax, p=p: _check_ff_oracle(m, p, dmax),
-                           m, dmax))
-    return checks
+    items += [(f"finite field oracle p={p}",
+               lambda m, dmax, p=p: _check_ff_oracle(m, p, dmax))
+              for p in primes]
+    return [_run(name, fn, m, dmax) for name, fn in items]
 
 
 def _run(name, fn, m, dmax) -> CheckResult:

@@ -170,6 +170,20 @@ def test_verify_all_pass(capsys):
     assert all(c["passed"] for c in doc["checks"])
 
 
+def test_verify_runs_a_repeated_prime_once(capsys):
+    # the JSON primes list and the oracle items name each prime once
+    for form in ("text", "json"):
+        once = run(capsys, "verify", "--m", "2", "--dmax", "2", "--primes",
+                   "2", "--format", form)
+        assert once[0] == 0
+        assert run(capsys, "verify", "--m", "2", "--dmax", "2", "--primes",
+                   "2,2", "--format", form) == once
+    assert run(capsys, "verify", "--m", "2", "--dmax", "1", "--primes",
+               "3,2,3", "--format", "json")[1] == run(
+        capsys, "verify", "--m", "2", "--dmax", "1", "--primes", "3,2",
+        "--format", "json")[1]
+
+
 def test_verify_text_report(capsys):
     code, out, _ = run(capsys, "verify", "--m", "1", "--dmax", "2")
     assert code == 0

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -13,15 +14,18 @@ from pathlib import Path
 import pytest
 
 import charvar
-from charvar import combinatorics, fforacle
+from charvar import arith, combinatorics, fforacle
+from charvar.cli import main
+from charvar.arith import IdentityError, SizeGuardError
+from charvar.counting import IntegralityError
 from charvar.combinatorics import (
-    CensusRow, _join, census_series_checks, connected_tuples,
-    connected_weight_poly, connected_weight_series, hall_subgroup_counts,
-    inversions, is_connected, limit_transform, perm_rep_census,
-    q_factorial, subgroup_counts, weight_poly,
+    census_series_checks, connected_tuples, connected_weight_poly,
+    connected_weight_series, hall_subgroup_counts, inversions, is_connected,
+    limit_transform, q_factorial, subgroup_counts, weight_poly,
 )
-from charvar.fforacle import IdentityError, SizeGuardError, _group_table
+from charvar.fforacle import CensusRow, _group_table, _join, perm_rep_census
 from charvar.qpoly import ONE, q
+from charvar.tseries import TSeries
 from charvar.verify import run_verification
 
 
@@ -145,6 +149,21 @@ def test_subgroup_counts_match_hall_recursion():
         assert subgroup_counts(m, 8) == hall_subgroup_counts(m, 8)
     assert hall_subgroup_counts(2, 4)[3] == 4 * 24 - (6 * 1 + 2 * 3 + 1 * 13)
     assert hall_subgroup_counts(2, 0) == subgroup_counts(2, 0) == []
+
+
+def test_subgroup_counts_check_their_integrality(monkeypatch, capsys):
+    # a logarithm with a non-integral J_2 / 2: the CLI exits 3 on it
+    def skewed(g):
+        return TSeries(g.order, [0, 1, Fraction(1, 3)])
+
+    monkeypatch.setattr(combinatorics, "series_log", skewed)
+    with pytest.raises(IntegralityError,
+                       match=r"^subgroup count J_2 came out non-integral$"):
+        subgroup_counts(2, 2)
+    assert main(["subgroups", "--m", "2", "--nmax", "2"]) == 3
+    assert capsys.readouterr().err == ("error: internal identity failure: "
+                                       "subgroup count J_2 came out "
+                                       "non-integral\n")
 
 
 def test_subgroup_count_arguments_are_checked_by_both_routes():
@@ -298,7 +317,7 @@ def test_census_state_is_linear_in_the_tuple_length():
     # prefixes, so 6000 levels hold one key at a time
     tracemalloc.start()
     try:
-        row = perm_rep_census.__wrapped__(1, 6000)
+        row = perm_rep_census(1, 6000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -316,19 +335,29 @@ def test_census_checks_its_orbit_count_by_burnside(monkeypatch):
         calls.append(len(rows))
         return real(rows) if len(calls) == 1 else real(rows)[:-1]
 
-    perm_rep_census.cache_clear()
     monkeypatch.setattr(fforacle, "_orbits", lossy)
-    try:
-        with pytest.raises(IdentityError,
-                           match=r"^swept 5 orbits, Burnside: 11$"):
-            perm_rep_census(3, 2)
-        calls.clear()
-        checks = run_verification(2, dmax=1, primes=())
-        census = next(c for c in checks if c.name == "permutation census")
-        assert (census.passed, census.skipped) == (False, False)
-        assert census.detail == "swept 0 orbits, Burnside: 1"
-    finally:
-        perm_rep_census.cache_clear()
+    with pytest.raises(IdentityError, match=r"^swept 5 orbits, Burnside: 11$"):
+        perm_rep_census(3, 2)
+    calls.clear()
+    checks = run_verification(2, dmax=1, primes=())
+    census = next(c for c in checks if c.name == "permutation census")
+    assert (census.passed, census.skipped) == (False, False)
+    assert census.detail == "swept 0 orbits, Burnside: 1"
+
+
+def test_census_checks_its_aut_weights_against_the_group_order(monkeypatch):
+    # every orbit counted twice still passes Burnside inside the engine,
+    # but its weights 1/|Aut| then sum to 2 * (n!)**(m-1)
+    real = fforacle._orbit_levels
+
+    def doubled(*args):
+        return Counter({key: 2 * count
+                        for key, count in real(*args).items()})
+
+    monkeypatch.setattr(fforacle, "_orbit_levels", doubled)
+    with pytest.raises(IdentityError, match=r"^weights 1/\|Aut\| sum to 12, "
+                                            r"not to \(n!\)\*\*\(m-1\) = 6$"):
+        perm_rep_census(3, 2)
 
 
 def test_census_exponential_identities():
@@ -395,7 +424,7 @@ def _admits(monkeypatch, n, m):
 
     monkeypatch.setattr(fforacle, "_group_table", admitted)
     try:
-        perm_rep_census.__wrapped__(n, m)
+        perm_rep_census(n, m)
     except _Admitted:
         return True
     except SizeGuardError:
@@ -430,7 +459,7 @@ def test_census_guard_refuses_what_the_factor_by_factor_guard_did(
     # the guard once multiplied m, 1..n and 1..n in one at a time, stopping
     # past the limit; m * (n!)**2 with n > 10 refused outright is the same
     def factor_by_factor(n, m):
-        return fforacle._exceeds(
+        return arith._exceeds(
             itertools.chain((m,), range(1, n + 1), range(1, n + 1)), 1,
             4_000_000)
     boxes = []
@@ -448,10 +477,10 @@ def test_census_guard_refuses_what_the_factor_by_factor_guard_did(
             raise AssertionError(f"built {k}!")
         return factorial(k)
 
-    monkeypatch.setattr(combinatorics, "factorial", small_factorial)
+    monkeypatch.setattr(fforacle, "factorial", small_factorial)
     for n, m in ((10 ** 6, 1), (11, 1), (10 ** 100, 10 ** 100)):
         with pytest.raises(SizeGuardError, match=rf"^census of S_{n}\^{m} "):
-            perm_rep_census.__wrapped__(n, m)
+            perm_rep_census(n, m)
 
 
 def test_exceeds_compares_the_power_without_building_it():
@@ -459,10 +488,10 @@ def test_exceeds_compares_the_power_without_building_it():
         for base in range(1, 60):
             for length in range(1, 25):
                 want = base ** length > limit or length > limit
-                assert fforacle._exceeds(
+                assert arith._exceeds(
                     (base,), length, limit) == want, (base, length, limit)
-    assert fforacle._exceeds(range(1, 9), 1, 40_320) is False  # 8!
-    assert fforacle._exceeds(range(1, 9), 1, 40_319) is True
-    assert fforacle._exceeds(range(1, 10 ** 12), 10 ** 12, 10) is True
-    assert fforacle._exceeds((1,) * 5, 200_000, 200_000) is False
-    assert fforacle._exceeds((1,), 200_001, 200_000) is True
+    assert arith._exceeds(range(1, 9), 1, 40_320) is False  # 8!
+    assert arith._exceeds(range(1, 9), 1, 40_319) is True
+    assert arith._exceeds(range(1, 10 ** 12), 10 ** 12, 10) is True
+    assert arith._exceeds((1,) * 5, 200_000, 200_000) is False
+    assert arith._exceeds((1,), 200_001, 200_000) is True

@@ -12,12 +12,12 @@ from pathlib import Path
 import pytest
 
 import charvar
-from charvar import combinatorics, fforacle
-from charvar.arith import is_prime
+from charvar import fforacle
+from charvar.arith import IdentityError, SizeGuardError, is_prime
 from charvar.cli import main
 from charvar.counting import abs_ind_counts, abs_irr_counts, orbit_counts
 from charvar.fforacle import (
-    IdentityError, OracleCensus, SizeGuardError, _group_table, _orbits,
+    OracleCensus, _group_table, _orbits,
     endomorphism_basis, gl_enumerate, gl_order, identity,
     is_absolutely_indecomposable, is_absolutely_irreducible, mat_inv, mat_mul,
     orbit_census,
@@ -489,7 +489,7 @@ def test_census_finds_orbits_once_per_stabiliser_level(monkeypatch):
         return real(rows)
 
     monkeypatch.setattr(fforacle, "_orbits", counted)
-    census = combinatorics.perm_rep_census.__wrapped__
+    census = fforacle.perm_rep_census
     for orbits in (lambda m: orbit_census(2, 2, m).orbits,
                    lambda m: census(3, m).orbit_count):
         calls.clear()
@@ -774,6 +774,42 @@ def test_group_table_refuses_a_product_that_is_no_group_law(monkeypatch):
     monkeypatch.setattr(fforacle, "_norm", lambda x, fmt: x)
     with pytest.raises(IdentityError, match="more than 48 group elements"):
         orbit_census(2, 3, 1)
+
+
+def test_gl_enumerate_checks_its_count_against_the_group_order(monkeypatch):
+    # a kernel that is always 0 takes every matrix for invertible
+    monkeypatch.setattr(fforacle, "_nullspace", lambda rows, ncols, fmt: [])
+    with pytest.raises(IdentityError,
+                       match=r"^found 16 invertible matrices, expected 6$"):
+        gl_enumerate(2, 2)
+
+
+def test_orbits_check_their_sizes_against_the_group_order(monkeypatch):
+    # a conjugation row that sends every element to one is no group
+    # action: the class of the identity turns up in every other orbit
+    real = fforacle._group_table
+
+    def broken(*args):
+        group, conj = real(*args)
+        return group, conj[:-1] + [(0,) * len(group)]
+
+    monkeypatch.setattr(fforacle, "_group_table", broken)
+    for census in (lambda: orbit_census(2, 2, 1),
+                   lambda: fforacle.perm_rep_census(3, 1)):
+        with pytest.raises(IdentityError, match=r"^orbit sizes do not add "
+                                                r"up to the group order$"):
+            census()
+
+
+def test_census_checks_that_irreducible_tuples_are_indecomposable(
+        monkeypatch):
+    monkeypatch.setattr(fforacle, "is_absolutely_indecomposable",
+                        lambda mats, d, p: False)
+    assert orbit_census(2, 2, 1).abs_irr == 0   # one matrix: no irreducible
+    with pytest.raises(IdentityError, match=r"^an absolutely irreducible "
+                                            r"2-tuple in GL_2\(F_2\) is "
+                                            r"decomposable$"):
+        orbit_census(2, 2, 2)
 
 
 def test_census_does_not_enumerate_the_matrices(monkeypatch):

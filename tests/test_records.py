@@ -6,9 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from charvar.combinatorics import CensusRow
 from charvar.counting import CharVarTable, TableRow, build_table, s_positive
-from charvar.fforacle import OracleCensus
+from charvar.fforacle import CensusRow, OracleCensus
 from charvar.qpoly import expand_in_s, q
 from charvar.verify import CheckResult
 

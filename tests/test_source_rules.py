@@ -145,13 +145,50 @@ def test_src_imports_only_the_standard_library():
     assert foreign == []
 
 
-def test_fforacle_imports_only_arith_from_the_package():
-    # the brute-force oracle checks the series pipeline, so it loads none
-    # of it: its one package import is the integer helpers of arith
-    path = next(path for path in SOURCES if path.name == "fforacle.py")
-    relative = [node.module for node in ast.walk(ast.parse(path.read_text()))
-                if isinstance(node, ast.ImportFrom) and node.level > 0]
-    assert relative == ["arith"]
+def _package_imports(tree):
+    """(module, name) of each name the module imports from the package;
+    ``from . import mod`` imports the name mod from mod."""
+    return [(node.module or alias.name, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level > 0
+            for alias in node.names]
+
+
+def _identifiers(tree):
+    """Every name the module's code binds, reads or imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(filter(None, (node.name, node.asname)))
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return names
+
+
+def test_the_import_graph_keeps_the_brute_force_side_apart():
+    # arith is the bottom; the brute-force oracle checks the series
+    # pipeline, so it loads only arith and no series layer loads it; the
+    # census engine and both censuses that read its keys live in fforacle,
+    # and combinatorics takes only the permutation census from it
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in SOURCES}
+    imports = {stem: _package_imports(tree) for stem, tree in trees.items()}
+    assert imports["arith"] == []
+    assert {module for module, _ in imports["fforacle"]} == {"arith"}
+    assert [f"{stem}:{name}" for stem in ("qpoly", "tseries", "plethystic",
+                                          "counting")
+            for module, name in imports[stem] if module == "fforacle"] == []
+    assert [name for module, name in imports["combinatorics"]
+            if module == "fforacle"] == ["perm_rep_census"]
+    engine = {"_orbit_levels", "_group_table", "_orbits"}
+    naming = {stem: sorted(engine & _identifiers(tree))
+              for stem, tree in trees.items()}
+    assert naming.pop("fforacle") == sorted(engine)
+    assert {stem: names for stem, names in naming.items() if names} == {}
 
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"

@@ -11,7 +11,7 @@ import charvar
 
 from charvar import fforacle, verify
 from charvar.cli import main
-from charvar.combinatorics import IdentityError, SizeGuardError
+from charvar.arith import IdentityError, SizeGuardError
 from charvar.verify import (CheckResult, all_passed, rank_two_closed_forms,
                             run_verification)
 from charvar.qpoly import q
