@@ -24,8 +24,6 @@ after parsing.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 from itertools import chain, islice
@@ -97,11 +95,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_ENCODER = json.JSONEncoder(indent="  ")
 # Encoder chunks joined per write.  A row of the polys table is one chunk
 # per coefficient, so a write holds a few kilobytes of text, not the row;
 # joining a whole row at a time rendered no faster.
 _CHUNKS_PER_WRITE = 256
+
+
+def _json_writer(payload):
+    """A writer of json.dumps(payload, indent=2) + "\n"."""
+    def write(out):
+        import json
+        out.write(json.dumps(payload, indent=2) + "\n")
+    return write
 
 
 def _write_json(out, head: dict, key: str, items) -> None:
@@ -109,17 +114,20 @@ def _write_json(out, head: dict, key: str, items) -> None:
 
     The items are built, encoded and written one at a time, so neither the
     document nor the list is ever held whole.  json.dumps renders indented
-    JSON with the pure-Python generator of json.encoder; it is made once
-    here, with _ENCODER's settings, and yields each item at the list's
-    depth, two levels in.  No value written here is a float, so floats
-    keep plain repr.
+    JSON with the pure-Python generator of json.encoder; it is made here,
+    with the encoder's settings, and yields each item at the list's depth,
+    two levels in.  No value written here is a float, so floats keep plain
+    repr.  json, like csv below, is imported by the writer that uses it,
+    so a text command loads neither.
     """
-    text = _ENCODER.encode({**head, key: []})
+    import json
+    encoder = json.JSONEncoder(indent="  ")
+    text = encoder.encode({**head, key: []})
     out.write(text[:-3])            # text ends with ']\n}'
     item_chunks = json.encoder._make_iterencode(
-        {}, _ENCODER.default, json.encoder.encode_basestring_ascii,
-        _ENCODER.indent, float.__repr__, _ENCODER.key_separator,
-        _ENCODER.item_separator, _ENCODER.sort_keys, _ENCODER.skipkeys, False)
+        {}, encoder.default, json.encoder.encode_basestring_ascii,
+        encoder.indent, float.__repr__, encoder.key_separator,
+        encoder.item_separator, encoder.sort_keys, encoder.skipkeys, False)
     separator, close = "\n    ", "]\n}\n"
     for item in items:
         chunks = chain((separator,), item_chunks(item, 2))
@@ -139,6 +147,7 @@ def _csv_cell(value):
 
 
 def _write_csv(out, header, rows) -> None:
+    import csv
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(map(_csv_cell, row) for row in rows)
@@ -204,8 +213,7 @@ def cmd_verify(args) -> tuple:
                         "detail": c.detail} for c in checks],
             "all_passed": ok,
         }
-        return code, lambda out: out.write(json.dumps(payload, indent=2) +
-                                           "\n")
+        return code, _json_writer(payload)
     if args.format == "csv":
         return code, lambda out: _write_csv(
             out, ["name", "passed", "detail"],
@@ -227,8 +235,7 @@ def cmd_subgroups(args) -> tuple:
     counts = subgroup_counts(args.m, args.nmax)
     if args.format == "json":
         payload = {"m": args.m, "nmax": args.nmax, "counts": counts}
-        return EXIT_OK, lambda out: out.write(json.dumps(payload, indent=2) +
-                                              "\n")
+        return EXIT_OK, _json_writer(payload)
     if args.format == "csv":
         return EXIT_OK, lambda out: _write_csv(out, ["n", "count"],
                                                enumerate(counts, start=1))
@@ -269,8 +276,7 @@ def cmd_permstats(args) -> tuple:
 def cmd_oracle(args) -> tuple:
     census = orbit_census(args.d, args.p, args.m)
     if args.format == "json":
-        return EXIT_OK, lambda out: out.write(
-            json.dumps(census._asdict(), indent=2) + "\n")
+        return EXIT_OK, _json_writer(census._asdict())
     if args.format == "csv":
         return EXIT_OK, lambda out: _write_csv(out, census._fields, [census])
     text = (f"brute-force census of {census.m}-tuples in GL_{census.d}"

@@ -24,7 +24,9 @@ is the fewest bytes that hold the largest sum the kernel forms before it
 reduces, (p - 1) + d*d*(p - 1)**2 for d-by-d matrices: one byte for
 every box the census admits at d >= 2.  So a matrix product is d
 big-int products, and a row operation v + c*row is one, each entry
-carried in its own slot.  Only _norm reduces mod p, every slot at once:
+carried in its own slot; the census's group pass multiplies by its
+generators as such row operations.  Only _norm reduces mod p, every slot
+at once: one AND at p = 2, where a slot's residue is its low bit,
 bytes.translate through a 256-entry table when a slot is one byte, one
 pass over the slots otherwise.  Every matrix and vector the module
 returns has its entries in 0 .. p - 1, so equal matrices are equal ints,
@@ -69,6 +71,7 @@ class _Format(NamedTuple):
     bits: int           # 8 * slot width
     mask: int           # one slot of ones
     table: bytes        # byte i holds i % p when a slot is one byte, else b""
+    low: int            # bit 0 of every slot a matrix or a row [A | I] has
     one: int            # the identity matrix
     row_mask: int       # the slots of row 0
     col_mask: int       # the slots of column 0
@@ -88,12 +91,17 @@ def _format(d: int, p: int) -> _Format:
     rows = tuple(bits * d * i for i in range(d))
     cols = tuple(bits * j for j in range(d))
     one = sum(1 << row + col for row, col in zip(rows, cols))
-    return _Format(p, bits, mask, table, one, (1 << bits * d) - 1,
+    # d*d slots for a matrix, 2*d for a row [A | I] of mat_inv
+    low = sum(1 << bits * k for k in range(max(d * d, 2 * d)))
+    return _Format(p, bits, mask, table, low, one, (1 << bits * d) - 1,
                    sum(mask << row for row in rows), rows, cols)
 
 
 def _norm(x: int, fmt: _Format) -> int:
-    """Every slot of the packed x reduced mod p."""
+    """Every slot of the packed x reduced mod p: at p = 2 the low bit of
+    each slot, one AND."""
+    if fmt.p == 2:
+        return x & fmt.low
     if fmt.table:
         return int.from_bytes(x.to_bytes((x.bit_length() + 7) >> 3, "little")
                               .translate(fmt.table), "little")
@@ -183,6 +191,25 @@ def _generators(d: int, p: int) -> list:
                  if all(pow(a, e, p) != 1 for e in orders))
         gens.append(fmt.one + w - 1)     # entry (0, 0) from 1 to w
     return gens
+
+
+def _generator_mul(gens: list, d: int, p: int):
+    """mul(g, x) = g*x for each g of gens, from _generators, as a row
+    operation.  g is I + c*E_ij, so g*x is x plus c times row j of x laid
+    in row i: I + E_ij adds row j to row i, and diag(w, 1, ..., 1) scales
+    row 0 by w.  Each product is one shift, mask and add, and one _norm."""
+    fmt = _format(d, p)
+    ops = {}
+    for g in gens:
+        e = g - fmt.one                  # c in slot k = i*d + j
+        k = (e.bit_length() - 1) // fmt.bits
+        ops[g] = (fmt.rows[k % d], fmt.rows[k // d], e >> fmt.bits * k)
+    row_mask = fmt.row_mask
+
+    def mul(g, x):
+        src, dst, c = ops[g]
+        return _norm(x + (c * ((x >> src) & row_mask) << dst), fmt)
+    return mul
 
 
 def _echelon_add(basis: list, vec: int, fmt: _Format):
@@ -510,10 +537,11 @@ def orbit_census(d: int, p: int, m: int) -> OracleCensus:
             grown = prefixes.setdefault(grown, (grown, gens + (y,)))[0]
             grown_by[span, rest] = grown
         return grown
+    generators = _generators(d, p)
     leaves = Counter()
     for (span, _), count in _orbit_levels(
-            fmt.one, _generators(d, p), lambda a, b: mat_mul(a, b, d, p),
-            n, m, start, extend).items():
+            fmt.one, generators, _generator_mul(generators, d, p), n, m,
+            start, extend).items():
         leaves[span] += count
     orbits = abs_irr = abs_ind = 0
     for span, count in leaves.items():

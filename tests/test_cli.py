@@ -670,10 +670,9 @@ def test_polys_json_matches_benchmark_digests(capsys, monkeypatch):
         assert digest == workloads.POLYS_DIGESTS[label], label
 
 
-def test_cli_import_leaves_out_dataclasses_and_inspect():
-    # every command is a cold process that pays for what charvar.cli
-    # imports; only modules beyond a bare interpreter's count, so what
-    # site loads at start-up does not
+def _modules_added(statement):
+    """The modules a fresh interpreter holds after running statement and
+    a bare one does not, so that what site loads at start-up is left out."""
     src = str(Path(charvar.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
 
@@ -685,9 +684,33 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
             text=True, timeout=60, check=True)
         return set(done.stdout.split())
 
-    added = loaded("import charvar.cli") - loaded("pass")
+    return loaded(statement) - loaded("pass")
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # every command is a cold process that pays for what charvar.cli
+    # imports
+    added = _modules_added("import charvar.cli")
     assert "charvar.cli" in added
     assert not added & {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle", "--d", "2", "--p", "2", "--m", "2"),
+    ("polys", "--m", "2", "--dmax", "3")], ids=["oracle", "polys"])
+def test_a_text_command_loads_neither_json_nor_csv(argv):
+    # the JSON and CSV writers import their modules when they run, so a
+    # text command's cold process pays for neither
+    added = _modules_added(
+        "from charvar.cli import main\n"
+        f"assert main({list(argv)!r} + ['--output', {os.devnull!r}]) == 0")
+    assert "charvar.cli" in added
+    assert not added & {"json", "csv", "_json", "_csv"}, sorted(added)
+    # the JSON writer loads json when it runs
+    assert "json" in _modules_added(
+        "from charvar.cli import main\n"
+        f"main({list(argv)!r} + ['--format', 'json', '--output', "
+        f"{os.devnull!r}])")
 
 
 @pytest.mark.parametrize("m, dmax", [(2, 0), (1, 2), (2, 3)],

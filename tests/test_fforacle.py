@@ -624,6 +624,65 @@ def test_kernel_matches_tuple_references_on_slots_wider_than_a_byte():
     _census_matches_polynomial_counts([(1, 101, 2)], {})
 
 
+def test_norm_at_two_is_the_low_bit_of_every_slot():
+    # every slot the kernel writes: d*d of a matrix, 2*d of a row [A | I]
+    # of mat_inv, which is the larger at d = 1
+    rng = random.Random(20261022)
+    for d in (1, 2, 3, 4, 16):
+        fmt = fforacle._format(d, 2)
+        assert fmt.bits == (16 if d == 16 else 8)
+        top = 1 + d * d             # (p - 1) + d*d*(p - 1)**2 at p = 2
+        n = max(d * d, 2 * d)
+        cases = [[top] * n, [top - 1] * n] + [
+            [rng.randrange(top + 1) for _ in range(n)] for _ in range(200)]
+        for slots in cases:
+            x = sum(s << fmt.bits * k for k, s in enumerate(slots))
+            assert fforacle._norm(x, fmt) == sum(
+                (s % 2) << fmt.bits * k for k, s in enumerate(slots)), (d,)
+
+
+def test_kernel_at_two_matches_tuple_references():
+    rng = random.Random(20261022)
+    twos = list(itertools.product(range(2), repeat=4))
+    threes = [tuple(rng.randrange(2) for _ in range(9)) for _ in range(150)]
+    pairs = [(a, b, 2) for a in twos for b in twos] + [
+        (a, b, 3) for a, b in zip(threes, threes[::-1])]
+    for a, b, d in pairs:
+        assert mat_mul(_pack(a, d, 2), _pack(b, d, 2), d, 2) == _pack(
+            _schoolbook_mul(a, b, d, 2), d, 2), (a, b)
+    singular = 0
+    # at d = 1 a row [A | I] of mat_inv has two slots, one more than A
+    for a, d in [((0,), 1), ((1,), 1)] + [(a, 2) for a in twos] + [
+            (a, 3) for a in threes]:
+        packed = _pack(a, d, 2)
+        rows = [a[i * d:(i + 1) * d] for i in range(d)]
+        assert fforacle._nullspace(
+            [_pack(row, d, 2) for row in rows], d,
+            fforacle._format(d, 2)) == [
+            _pack(v, d, 2) for v in _nullspace_reference(rows, d, 2)], a
+        try:
+            want = _pack(_mat_inv_reference(a, d, 2), d, 2)
+        except ZeroDivisionError:
+            singular += 1
+            with pytest.raises(ZeroDivisionError, match="matrix is singular"):
+                mat_inv(packed, d, 2)
+        else:
+            assert mat_inv(packed, d, 2) == want, a
+    # 1 singular 1x1, 16 - 6 singular 2x2, and 344 of the 512 3x3
+    assert 11 + 50 < singular < 11 + 130, singular
+
+
+def test_group_pass_applies_generators_as_row_operations():
+    # orbit_census's group pass multiplies by a generator with one shift,
+    # mask and add; each product must be the matrix product
+    for d, p in [(1, 2), (1, 3), (2, 2), (2, 3), (2, 5), (3, 2)]:
+        gens = fforacle._generators(d, p)
+        mul = fforacle._generator_mul(gens, d, p)
+        for g in gens:
+            for x in gl_enumerate(d, p):
+                assert mul(g, x) == mat_mul(g, x, d, p), (d, p, g, x)
+
+
 def _endomorphism_rows_reference(mats, d, p):
     """The linear system e*x = x*e of each tuple entry x, one row per
     entry (i, j) of e*x - x*e, built entry by entry on tuples."""

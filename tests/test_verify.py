@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -181,6 +182,12 @@ FAULTS = [
      lambda real: lambda n, m: {**real(n, m), "plethystic_exp": False}),
     ("Euler characteristics", "euler_characteristics",
      lambda real: lambda m, d: tuple(chi + 1 for chi in real(m, d))),
+    ("quotient E-polynomials", "e_polynomial",
+     lambda real: lambda m, d, group="GL", variant="full": real(
+         m, d, group=group, variant=variant) + int(group == "PGL")),
+    ("integrality", "orbit_counts",
+     lambda real: lambda m, dmax: [*(c := real(m, dmax))[:-1],
+                                   c[-1] + Fraction(1, 2)]),
     ("finite field oracle p=2", "orbit_census",
      lambda real: lambda d, p, m: (c := real(d, p, m))._replace(
          abs_ind=c.abs_ind + 1)),
@@ -202,6 +209,22 @@ def test_each_item_fails_on_a_perturbed_callee(capsys, monkeypatch, name,
     assert f"[FAIL] {name}: " in capsys.readouterr().out
 
 
+# items whose fault a test of its own makes, each named by that test
+DEDICATED = {
+    "rank-2 closed forms": test_wrong_count_fails_under_optimize,
+    "semisimple decomposition": test_wrong_count_fails_under_optimize,
+    "exponential structure": test_exp_structure_fails_on_a_perturbed_series,
+    "s-positivity": test_negative_s_coefficient_fails_under_optimize,
+}
+
+
+def test_every_item_is_shown_able_to_fail():
+    # an item no fault fails could pass whatever it compares
+    names = [c.name for c in run_verification(2, dmax=2, primes=(2, 3))]
+    assert len(set(names)) == len(names)
+    assert set(names) == {name for name, _, _ in FAULTS} | set(DEDICATED)
+
+
 def _mat_mul_without_last_term(a, b, d, p):
     """fforacle.mat_mul less the k = d - 1 term of every entry's sum."""
     fmt = fforacle._format(d, p)
@@ -212,9 +235,11 @@ def _mat_mul_without_last_term(a, b, d, p):
 
 def test_oracle_items_fail_on_a_kernel_that_drops_a_term(capsys,
                                                          monkeypatch):
-    # at d = 1 the product is 0: GL_1(F_3) closes on {1, 0}, whose
-    # generator never returns to one, and at d = 2 the pass over GL_2(F_2)
-    # finds no group of order 6
+    # the group pass applies its generators as row operations, not through
+    # mat_mul, so the tables and the d = 1 counts stay right; at d = 2 the
+    # algebra spans grown through the faulty product never reach M_2 and
+    # every commutant reads as local, so each census finds abs_irr 0 and
+    # abs_ind equal to its orbit count (11 and 136 orbits of pairs)
     monkeypatch.setattr(fforacle, "mat_mul", _mat_mul_without_last_term)
     checks = run_verification(2, dmax=2, primes=(2, 3))
     oracle = [c for c in checks if c.name.startswith("finite field oracle")]
