@@ -11,8 +11,10 @@ to conjugation, with the weights combinatorics checks against subgroups.
 Both are the level-by-level stabiliser-chain count _orbit_levels over the
 conjugation table that _group_table builds from generators of GL_d(F_p)
 or S_n, so neither sweeps the tuples, and only they read its (state,
-stabiliser) keys.  This module imports only arith, so the oracle loads
-none of the series pipeline it checks.  A matrix prefix is classified
+stabiliser) keys.  This module imports only arith, so importing
+charvar.fforacle loads only arith, none of the series pipeline it checks;
+the charvar oracle command still loads every layer, because cli imports
+them all at the top.  A matrix prefix is classified
 by the unital algebra A it generates alone, so its state is the echelon
 span of A, and its stabiliser is the centraliser of A: each A is one key,
 split once, so each classification of A is made at most once, not once

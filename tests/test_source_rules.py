@@ -1,8 +1,12 @@
 """Rules on the source of the charvar package itself."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import charvar
 
@@ -189,6 +193,41 @@ def test_the_import_graph_keeps_the_brute_force_side_apart():
               for stem, tree in trees.items()}
     assert naming.pop("fforacle") == sorted(engine)
     assert {stem: names for stem, names in naming.items() if names} == {}
+
+
+def _static_closure(stem):
+    """The package modules that importing stem loads by its own imports:
+    stem and, transitively, every module its relative imports name."""
+    imports = {path.stem: _package_imports(ast.parse(path.read_text(),
+                                                     str(path)))
+               for path in SOURCES}
+    closure, todo = set(), [stem]
+    while todo:
+        module = todo.pop()
+        if module not in closure:
+            closure.add(module)
+            todo += [imported for imported, _ in imports[module]]
+    return closure
+
+
+@pytest.mark.parametrize("module", ["charvar"] + [
+    f"charvar.{path.stem}" for path in SOURCES if path.stem != "__init__"])
+def test_an_import_loads_only_the_modules_its_source_imports(module):
+    # the package resolves its names on first read, so at runtime too the
+    # oracle loads only arith and no series layer loads the oracle: a
+    # fresh interpreter holds the package, the module and its closure
+    src = str(Path(charvar.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", f"import sys, {module}; print(*("
+         "name for name in sys.modules if name.split('.')[0] == 'charvar'))"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    stem = module.partition(".")[2]
+    closure = _static_closure(stem) if stem else set()
+    assert set(run.stdout.split()) == {"charvar"} | {
+        f"charvar.{name}" for name in closure}
 
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"

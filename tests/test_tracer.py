@@ -22,9 +22,17 @@ def _trace(*command):
 
 def test_tracer_runs_verify():
     # tracer.py replaces package functions by name; a renamed or deleted
-    # one makes it fail before the command runs
+    # one makes it fail before the command runs.  It patches only the
+    # modules that `import charvar.cli` loaded, so every series layer must
+    # show calls: a layer loaded later would run unpatched and read zero
     payload = _trace("verify", "--m", "2", "--dmax", "3", "--primes", "")
+    metrics = payload["metrics"]
     assert payload["exit"] == 0
+    assert metrics["counting.orbit_series.calls"] > 0
+    assert metrics["plethystic.Exp.calls"] > 0
+    assert metrics["qpoly.expand_in_s.calls"] > 0
+    assert metrics["tseries.TSeries.inverse.calls"] > 0
+    assert metrics["combinatorics.perm_rep_census.calls"] > 0
 
 
 def test_tracer_hooks_the_oracle():
